@@ -12,31 +12,47 @@
 
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
+#include <initializer_list>
+#include <string>
+#include <string_view>
+
+#include "bench_args.hpp"
 
 namespace sor::bench {
 
-inline bool HasFlag(int argc, char** argv, const char* flag) {
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], flag) == 0) return true;
+// Parses `--flag [value]` arguments and exits 2 naming the first flag not
+// in `allowed`, so a typo or `--help` fails loudly instead of silently
+// running the default sweep. Every emitter lists "allow-dirty".
+inline cli::Args ParseFlags(int argc, char** argv,
+                            std::initializer_list<std::string_view> allowed) {
+  const cli::Args args(argc - 1, argv + 1);
+  if (!args.ok()) {
+    std::fprintf(stderr, "%s: %s\n", argv[0], args.error().c_str());
+    std::exit(2);
   }
-  return false;
+  if (const std::string unknown = args.FirstUnknown(allowed);
+      !unknown.empty()) {
+    std::fprintf(stderr, "%s: unknown flag '--%s'\n", argv[0],
+                 unknown.c_str());
+    std::exit(2);
+  }
+  return args;
 }
 
-inline void RequireCleanTree(int argc, char** argv) {
+inline void RequireCleanTree(const cli::Args& args, const char* program) {
 #if SOR_GIT_DIRTY
-  if (!HasFlag(argc, argv, "--allow-dirty")) {
+  if (!args.Has("allow-dirty")) {
     std::fprintf(stderr,
                  "%s: refusing to emit benchmark JSON from a dirty tree "
                  "(git sha %s does not describe the code built).\n"
                  "Commit and re-run cmake, or pass --allow-dirty for a "
                  "throwaway run.\n",
-                 argv[0], SOR_GIT_SHA);
+                 program, SOR_GIT_SHA);
     std::exit(1);
   }
 #else
-  (void)argc;
-  (void)argv;
+  (void)args;
+  (void)program;
 #endif
 }
 

@@ -212,7 +212,8 @@ double BenchFullScan(const Table& t, std::uint64_t iters) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  sor::bench::RequireCleanTree(argc, argv);
+  sor::bench::RequireCleanTree(
+      sor::bench::ParseFlags(argc, argv, {"allow-dirty"}), argv[0]);
   constexpr std::int64_t kRows = 100'000;
   constexpr std::int64_t kBatch = 1'000;
   constexpr std::uint64_t kPointIters = 2'000'000;

@@ -142,7 +142,8 @@ double CampaignMs(bool trace, std::uint64_t* fingerprint,
 }  // namespace
 
 int main(int argc, char** argv) {
-  sor::bench::RequireCleanTree(argc, argv);
+  sor::bench::RequireCleanTree(
+      sor::bench::ParseFlags(argc, argv, {"allow-dirty"}), argv[0]);
   constexpr std::uint64_t kIters = 4'000'000;
   constexpr std::uint64_t kFingerprintEvents = 200'000;
   constexpr int kCampaignRuns = 3;  // report the min — least-noise estimate

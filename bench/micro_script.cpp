@@ -1,22 +1,21 @@
-// micro_script — what a SenseScript run costs per engine.
+// micro_script — what a SenseScript run costs on the engine phones run.
 //
-// One JSON object on stdout comparing the three execution paths a phone
-// (or embedder) can pick from, on two workloads:
+// One JSON object on stdout timing the IR executor, unoptimized (what a
+// phone runs) and optimized, on two workloads:
 //
 //   * sensing        — the shape of a real sensing task: one acquisition,
 //                      a reduction loop over the samples, two stdlib calls
 //   * loop_heavy_10k — a 10'000-iteration arithmetic loop, the worst case
 //                      the analyzer's step budget is protecting against
 //
-// Engines:
+// Columns:
 //
-//   * ast    — the tree-walking interpreter (the phone's default)
-//   * ir     — lower to the basic-block IR, execute unoptimized
+//   * ir     — execute the lowered module as is (TaskInstance's path)
 //   * ir_opt — constant propagation + CheckDef elision + DCE first
 //
-// The ir columns exclude lowering (a schedule executes one script many
-// instants, so lowering amortizes to zero); parse/lower/optimize one-shot
-// costs are reported separately. Loop timings use steady_clock around a
+// Both exclude lowering: a phone lowers a task's script once and executes
+// it at every scheduled instant, so parse/lower/optimize are one-shot
+// costs, reported separately. Loop timings use steady_clock around a
 // fixed iteration count with an empty-asm sink, same discipline as
 // micro_db. BENCH_micro_script.json records a blessed run.
 #include <chrono>
@@ -81,7 +80,6 @@ script::HostRegistry MakeHost() {
 }
 
 struct EngineCosts {
-  double ast_ns = 0;
   double ir_ns = 0;
   double ir_opt_ns = 0;
 };
@@ -91,15 +89,6 @@ EngineCosts BenchEngines(const char* source, const script::HostRegistry& host,
   const script::Program program = script::Parse(source).value();
   const script::InterpreterOptions opts;
   EngineCosts out;
-  {
-    script::Interpreter interp(host);
-    auto t0 = Clock::now();
-    for (std::uint64_t i = 0; i < iters; ++i) {
-      auto r = interp.Execute(program);
-      Sink(r.ok());
-    }
-    out.ast_ns = NsPerOp(t0, Clock::now(), iters);
-  }
   {
     const script::ir::Module mod = script::ir::Lower(program);
     auto t0 = Clock::now();
@@ -153,7 +142,8 @@ double BenchOptimize(const script::Program& program, std::uint64_t iters) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  sor::bench::RequireCleanTree(argc, argv);
+  sor::bench::RequireCleanTree(
+      sor::bench::ParseFlags(argc, argv, {"allow-dirty"}), argv[0]);
   const script::HostRegistry host = MakeHost();
   const script::Program sensing = script::Parse(kSensingScript).value();
 
@@ -174,12 +164,10 @@ int main(int argc, char** argv) {
   std::printf("    \"lower_optimize_sensing\": %.1f\n", lower_optimize_ns);
   std::printf("  },\n");
   std::printf("  \"per_run_ns\": {\n");
-  std::printf("    \"sensing\": "
-              "{ \"ast\": %.1f, \"ir\": %.1f, \"ir_opt\": %.1f },\n",
-              sensing_c.ast_ns, sensing_c.ir_ns, sensing_c.ir_opt_ns);
-  std::printf("    \"loop_heavy_10k\": "
-              "{ \"ast\": %.1f, \"ir\": %.1f, \"ir_opt\": %.1f }\n",
-              loop_c.ast_ns, loop_c.ir_ns, loop_c.ir_opt_ns);
+  std::printf("    \"sensing\": { \"ir\": %.1f, \"ir_opt\": %.1f },\n",
+              sensing_c.ir_ns, sensing_c.ir_opt_ns);
+  std::printf("    \"loop_heavy_10k\": { \"ir\": %.1f, \"ir_opt\": %.1f }\n",
+              loop_c.ir_ns, loop_c.ir_opt_ns);
   std::printf("  }\n}\n");
   return 0;
 }

@@ -86,7 +86,8 @@ std::uint64_t PendingAfterRun(sor::core::System& system) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  sor::bench::RequireCleanTree(argc, argv);
+  sor::bench::RequireCleanTree(
+      sor::bench::ParseFlags(argc, argv, {"allow-dirty"}), argv[0]);
   const sor::world::Scenario scenario = SmallCoffee();
 
   // Main measurement run: a generous drain so the campaign itself ends

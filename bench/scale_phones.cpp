@@ -118,19 +118,22 @@ void PrintCellJson(const Cell& c, const char* indent, bool with_speedup,
 int main(int argc, char** argv) {
   // `scale_phones --cell PPP THREADS` runs one cell and prints its wall
   // time only — the shape profilers and quick A/B comparisons want.
-  if (argc >= 4 && std::string_view(argv[1]) == "--cell") {
+  if (argc >= 2 && std::string_view(argv[1]) == "--cell") {
+    if (argc != 4) {
+      std::fprintf(stderr, "usage: %s --cell PHONES_PER_PLACE THREADS\n",
+                   argv[0]);
+      return 2;
+    }
     const Cell c = RunCell(std::atoi(argv[2]), std::atoi(argv[3]));
     PrintCellJson(c, "", /*with_speedup=*/false, 0.0);
     std::printf("\n");
     return 0;
   }
-  sor::bench::RequireCleanTree(argc, argv);
-  bool large = false;
-  bool xlarge = false;
-  for (int i = 1; i < argc; ++i) {
-    if (std::string_view(argv[i]) == "--large") large = true;
-    if (std::string_view(argv[i]) == "--xlarge") xlarge = true;
-  }
+  const sor::cli::Args args =
+      sor::bench::ParseFlags(argc, argv, {"allow-dirty", "large", "xlarge"});
+  sor::bench::RequireCleanTree(args, argv[0]);
+  const bool large = args.Has("large");
+  const bool xlarge = args.Has("xlarge");
   // ×3 places ≈ 50/200/1000 phones; --large adds ~5k and ~10k tiers,
   // --xlarge a ~100k tier (the ROADMAP's target scale — incremental
   // replanning + plan-delta distribution is what makes it reachable; far

@@ -5,6 +5,8 @@
 #include "common/log.hpp"
 #include "script/analysis/analyzer.hpp"
 #include "script/analysis/host_api.hpp"
+#include "script/ir/exec.hpp"
+#include "script/ir/lower.hpp"
 #include "script/parser.hpp"
 
 namespace sor::phone {
@@ -35,16 +37,23 @@ TaskInstance::TaskInstance(TaskId id, AppId app, const std::string& script,
       sample_window_(sample_window),
       samples_per_window_(std::max(1, samples_per_window)) {
   std::sort(schedule_.begin(), schedule_.end());
-  // Compile = parse + static analysis. The phone re-checks what the server
-  // should already have verified — a defense against a stale or hostile
-  // server build — so a script that would crash or never terminate is
-  // refused before its first scheduled instant. Warnings only get logged.
-  script::analysis::AnalyzerOptions options;
-  options.default_samples_per_window = samples_per_window_;
-  script::analysis::AnalysisReport report =
-      script::analysis::AnalyzeSource(script, options);
-  for (const script::analysis::Diagnostic& d : report.diagnostics) {
-    if (d.severity == script::analysis::Severity::kWarning)
+  // Compile = parse + static analysis + lowering, once per task. The phone
+  // re-checks what the server should already have verified — a defense
+  // against a stale or hostile server build — so a script that would crash
+  // or exceed the instruction budget is refused before its first scheduled
+  // instant. Warnings only get logged.
+  namespace analysis = script::analysis;
+  Result<script::Program> parsed = script::Parse(script);
+  analysis::AnalysisReport report;
+  if (parsed.ok()) {
+    analysis::AnalyzerOptions options;
+    options.default_samples_per_window = samples_per_window_;
+    report = analysis::Analyze(parsed.value(), options);
+  } else {
+    report.diagnostics.push_back(analysis::FromError(parsed.error()));
+  }
+  for (const analysis::Diagnostic& d : report.diagnostics) {
+    if (d.severity == analysis::Severity::kWarning)
       SOR_LOG(kWarn, "task", id_.str() << ": " << Render(d));
   }
   if (!report.ok()) {
@@ -53,16 +62,7 @@ TaskInstance::TaskInstance(TaskId id, AppId app, const std::string& script,
     ++stats_.script_errors;
     return;
   }
-  Result<script::Program> parsed = script::Parse(script);
-  if (!parsed.ok()) {
-    // Unreachable when the analyzer passed (it parses first), kept as a
-    // belt-and-braces guard.
-    status_ = TaskStatus::kError;
-    last_error_ = parsed.error().str();
-    ++stats_.script_errors;
-    return;
-  }
-  program_ = std::move(parsed).value();
+  module_ = script::ir::Lower(parsed.value());
   status_ = TaskStatus::kRunning;
 }
 
@@ -170,8 +170,8 @@ void TaskInstance::ExecuteOnce(SimTime t, sensors::SensorManager& sensors,
         });
   }
 
-  script::Interpreter interp(host);
-  Result<script::ExecutionResult> r = interp.Execute(program_);
+  Result<script::ExecutionResult> r =
+      script::ir::Execute(module_, host, script::InterpreterOptions{});
   if (!r.ok()) {
     ++stats_.script_errors;
     last_error_ = r.error().str();

@@ -20,12 +20,12 @@ namespace {
 // ===========================================================================
 // Pass 1+2+3: scope/flow, types, capability.
 //
-// One abstract interpretation walk mirroring the interpreter's scoping rules
-// exactly (src/script/interpreter.cpp): a scope stack whose bottom is the
-// global scope, block scopes pushed for if/while/for bodies, `local`
-// declaring in the innermost scope, plain assignment writing the nearest
-// enclosing binding or else creating a global. Branches are joined; a name
-// bound on only one incoming path becomes "maybe unassigned" (SA102).
+// One abstract interpretation walk mirroring the language's scoping rules
+// exactly (as src/script/ir/lower.cpp resolves them): a scope stack whose
+// bottom is the global scope, block scopes pushed for if/while/for bodies,
+// `local` declaring in the innermost scope, plain assignment writing the
+// nearest enclosing binding or else creating a global. Branches are joined;
+// a name bound on only one incoming path becomes "maybe unassigned" (SA102).
 // ===========================================================================
 
 struct VarInfo {
@@ -564,9 +564,9 @@ class ScopeTypeChecker {
 // Pass 4: cost & termination.
 //
 // Interval-based constant folding drives static loop bounds; the result is
-// a worst-case count of interpreter ticks (mirroring the Tick() placement in
-// src/script/interpreter.cpp) and of physical acquisition samples, priced
-// with sensors::AcquisitionEnergyMj.
+// a worst-case count of physical acquisition samples, priced with
+// sensors::AcquisitionEnergyMj, plus each loop's trip bound, from which
+// BoundSteps (passes.hpp) prices the IR instructions a run retires.
 // ===========================================================================
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
@@ -609,19 +609,17 @@ Interval IHull(const Interval& a, const Interval& b) {
   return Interval{std::min(a.lo, b.lo), std::max(a.hi, b.hi)};
 }
 
-// Worst-case resources for one execution of a fragment.
+// Worst-case acquisitions and energy for one execution of a fragment.
+// Steps are priced separately, on the lowered IR (BoundSteps), from the
+// per-loop trip bounds this pass records.
 struct Cost {
-  double steps = 0;
   double samples = 0;   // physical acquisition samples
   double energy = 0;    // millijoules
   bool bounded = true;
   int heavy_line = 0;        // acquisition site with the largest energy
   double heavy_energy = -1;
-  int heavy_loop_line = 0;   // loop contributing the most steps
-  double heavy_loop_steps = -1;
 
   void Add(const Cost& o) {
-    steps += o.steps;
     samples += o.samples;
     energy += o.energy;
     bounded = bounded && o.bounded;
@@ -629,36 +627,22 @@ struct Cost {
       heavy_energy = o.heavy_energy;
       heavy_line = o.heavy_line;
     }
-    if (o.heavy_loop_steps > heavy_loop_steps) {
-      heavy_loop_steps = o.heavy_loop_steps;
-      heavy_loop_line = o.heavy_loop_line;
-    }
   }
 
-  void Scale(double n, int loop_line) {
-    steps *= n;
+  void Scale(double n) {
     samples *= n;
     energy *= n;
     heavy_energy *= n;
-    heavy_loop_steps *= n;
-    if (steps > heavy_loop_steps) {
-      heavy_loop_steps = steps;
-      heavy_loop_line = loop_line;
-    }
   }
 
   static Cost Max(const Cost& a, const Cost& b) {
     Cost m;
-    m.steps = std::max(a.steps, b.steps);
     m.samples = std::max(a.samples, b.samples);
     m.energy = std::max(a.energy, b.energy);
     m.bounded = a.bounded && b.bounded;
     const Cost& h = a.heavy_energy >= b.heavy_energy ? a : b;
     m.heavy_energy = h.heavy_energy;
     m.heavy_line = h.heavy_line;
-    const Cost& hl = a.heavy_loop_steps >= b.heavy_loop_steps ? a : b;
-    m.heavy_loop_steps = hl.heavy_loop_steps;
-    m.heavy_loop_line = hl.heavy_loop_line;
     return m;
   }
 };
@@ -667,7 +651,7 @@ class CostAnalyzer {
  public:
   CostAnalyzer(const Program& program, const AnalyzerOptions& options,
                std::vector<Diagnostic>& out,
-               const std::map<LoopKey, double>* trip_overrides = nullptr)
+               const std::map<LoopKey, double>& trip_overrides)
       : program_(program), options_(options), out_(out),
         trip_overrides_(trip_overrides) {}
 
@@ -676,6 +660,12 @@ class CostAnalyzer {
     env_.clear();
     env_.emplace_back();
     return CostOfBlock(program_.statements);
+  }
+
+  // Final trip bound of every loop the walk reached — main's and those of
+  // every function a call can bind — keyed like the IR's LoopInfo.
+  [[nodiscard]] const std::map<LoopKey, double>& loop_bounds() const {
+    return loop_bounds_;
   }
 
  private:
@@ -688,7 +678,9 @@ class CostAnalyzer {
     for (const StmtPtr& sp : body) {
       const Stmt& st = *sp;
       if (st.kind == Stmt::Kind::kFunction) {
-        fns_[st.name] = &st;  // later definition wins, like the interpreter
+        // Which definition a call binds depends on execution order, so a
+        // call costs as much as the dearest definition of its name.
+        fns_[st.name].push_back(&st);
         CollectFunctions(st.body);
       } else if (st.kind == Stmt::Kind::kIf) {
         CollectFunctions(st.body);
@@ -785,7 +777,6 @@ class CostAnalyzer {
 
   EvalResult EvalC(const Expr& e) {
     EvalResult r;
-    r.cost.steps = 1;  // the interpreter ticks once per evaluated node
     switch (e.kind) {
       case Expr::Kind::kNumber:
         r.val.num = Interval{e.number, e.number};
@@ -889,7 +880,6 @@ class CostAnalyzer {
 
   EvalResult EvalCall(const Expr& e) {
     EvalResult r;
-    r.cost.steps = 1;
     std::vector<CVal> arg_vals;
     arg_vals.reserve(e.args.size());
     for (const ExprPtr& arg : e.args) {
@@ -952,7 +942,7 @@ class CostAnalyzer {
       return memo->second;
     if (fn_stack_.count(name) != 0) {
       if (recursion_reported_.insert(name).second) {
-        Emit("SA402", fns_[name]->line,
+        Emit("SA402", fns_[name].back()->line,
              "function '" + name +
                  "' is recursive; its cost cannot be bounded");
       }
@@ -963,10 +953,13 @@ class CostAnalyzer {
     fn_stack_.insert(name);
     // Function bodies run with unknown parameters and globals.
     std::vector<CEnv> saved = std::move(env_);
-    env_.clear();
-    env_.emplace_back();
-    env_.emplace_back();
-    Cost c = CostOfBlock(fns_[name]->body);
+    Cost c;
+    for (const Stmt* def : fns_[name]) {
+      env_.clear();
+      env_.emplace_back();
+      env_.emplace_back();
+      c = Cost::Max(c, CostOfBlock(def->body));
+    }
     env_ = std::move(saved);
     fn_stack_.erase(name);
     fn_memo_[name] = c;
@@ -983,7 +976,6 @@ class CostAnalyzer {
 
   Cost CostOfStmt(const Stmt& st) {
     Cost c;
-    c.steps = 1;  // RunStmt ticks once per statement
     switch (st.kind) {
       case Stmt::Kind::kLocal: {
         EvalResult v = EvalC(*st.expr);
@@ -1061,12 +1053,12 @@ class CostAnalyzer {
           return c;
         }
         const double n = *bound;
-        body_c.Scale(n, st.line);
+        RecordBound(st.line, 0, n);
+        body_c.Scale(n);
         Cost cond_c = cond.cost;
-        cond_c.Scale(n + 1, st.line);
+        cond_c.Scale(n + 1);  // the condition runs once more than the body
         c.Add(body_c);
         c.Add(cond_c);
-        c.steps += n + 1;  // loop head ticks once per check, incl. the last
         return c;
       }
       case Stmt::Kind::kNumericFor: {
@@ -1114,9 +1106,9 @@ class CostAnalyzer {
           c.Add(body_c);
           return c;
         }
-        body_c.Scale(*bound, st.line);
+        RecordBound(st.line, 1, *bound);
+        body_c.Scale(*bound);
         c.Add(body_c);
-        c.steps += *bound;  // per-iteration tick in the loop head
         return c;
       }
       case Stmt::Kind::kFunction:
@@ -1279,18 +1271,24 @@ class CostAnalyzer {
   const Program& program_;
   const AnalyzerOptions& options_;
   std::vector<Diagnostic>& out_;
-  const std::map<LoopKey, double>* trip_overrides_ = nullptr;
+  const std::map<LoopKey, double>& trip_overrides_;
 
   // IR-derived bound for a loop, when the interval pass proved one.
   std::optional<double> Override(int line, int kind) const {
-    if (trip_overrides_ == nullptr) return std::nullopt;
-    const auto it = trip_overrides_->find({line, kind});
-    if (it == trip_overrides_->end()) return std::nullopt;
+    const auto it = trip_overrides_.find({line, kind});
+    if (it == trip_overrides_.end()) return std::nullopt;
     return it->second;
   }
 
+  // Loops sharing a (line, kind) key share the largest of their bounds.
+  void RecordBound(int line, int kind, double trips) {
+    double& slot = loop_bounds_.try_emplace({line, kind}, trips).first->second;
+    slot = std::max(slot, trips);
+  }
+
   std::vector<CEnv> env_;
-  std::map<std::string, const Stmt*> fns_;
+  std::map<std::string, std::vector<const Stmt*>> fns_;
+  std::map<LoopKey, double> loop_bounds_;
   std::map<std::string, Cost> fn_memo_;
   std::set<std::string> fn_stack_;
   std::set<std::string> recursion_reported_;
@@ -1308,29 +1306,29 @@ AnalysisReport Analyze(const Program& program, const AnalyzerOptions& options) {
   ScopeTypeChecker scopes(program, options, report.diagnostics, required);
   scopes.Run();
 
-  // Flow-sensitive layer: lower to the dataflow IR, optimize, and collect
-  // SA5xx diagnostics, interval trip bounds, and the information-flow
-  // manifest from the optimized module.
-  IrAnalysis ir_facts;
-  if (options.ir_passes) {
-    ir::Module mod = ir::Lower(program);
-    IrAnalysisOptions ir_opts;
-    ir_opts.default_samples_per_window = options.default_samples_per_window;
-    ir_facts = AnalyzeModule(mod, ir_opts);
-    report.diagnostics.insert(report.diagnostics.end(),
-                              ir_facts.diagnostics.begin(),
-                              ir_facts.diagnostics.end());
-    report.flow = std::move(ir_facts.flow);
-  }
+  // Flow-sensitive layer: lower to the dataflow IR and collect SA5xx
+  // diagnostics, interval trip bounds, and the information-flow manifest
+  // from an optimized copy. Steps are bounded on the unoptimized module —
+  // the one a phone executes.
+  const ir::Module lowered = ir::Lower(program);
+  ir::Module optimized = lowered;
+  IrAnalysisOptions ir_opts;
+  ir_opts.default_samples_per_window = options.default_samples_per_window;
+  IrAnalysis ir_facts = AnalyzeModule(optimized, ir_opts);
+  report.diagnostics.insert(report.diagnostics.end(),
+                            ir_facts.diagnostics.begin(),
+                            ir_facts.diagnostics.end());
+  report.flow = std::move(ir_facts.flow);
 
   CostAnalyzer coster(program, options, report.diagnostics,
-                      options.ir_passes ? &ir_facts.trip_bounds : nullptr);
+                      ir_facts.trip_bounds);
   const Cost cost = coster.Run();
 
   report.manifest.required_sensors.assign(required.begin(), required.end());
   report.manifest.cost_bounded = cost.bounded;
   if (cost.bounded) {
-    report.manifest.worst_case_steps = cost.steps;
+    const StepBound steps = BoundSteps(lowered, coster.loop_bounds());
+    report.manifest.worst_case_steps = steps.steps;
     report.manifest.worst_case_acquisitions = cost.samples;
     report.manifest.worst_case_energy_mj = cost.energy;
     if (options.energy_budget_mj > 0 &&
@@ -1342,12 +1340,12 @@ AnalysisReport Analyze(const Program& program, const AnalyzerOptions& options) {
               " mJ/run exceeds the budget of " +
               std::to_string(options.energy_budget_mj) + " mJ/run"});
     }
-    if (options.max_steps > 0 && cost.steps > options.max_steps) {
+    if (options.max_steps > 0 && steps.steps > options.max_steps) {
       report.diagnostics.push_back(Diagnostic{
           "SA404", Severity::kError,
-          cost.heavy_loop_line > 0 ? cost.heavy_loop_line
-                                   : FirstStatementLine(program),
-          "worst-case step estimate " + std::to_string(cost.steps) +
+          steps.heavy_loop_line > 0 ? steps.heavy_loop_line
+                                    : FirstStatementLine(program),
+          "worst-case step estimate " + std::to_string(steps.steps) +
               " exceeds the interpreter budget of " +
               std::to_string(options.max_steps)});
     }

@@ -14,9 +14,11 @@
 //                       table; required-sensor manifest; unknown functions;
 //                       sensors absent from the target device
 //   4. cost           — static loop bounds via interval folding, worst-case
-//                       step/acquisition/energy estimates priced with
-//                       sensors::AcquisitionEnergyMj; rejects unboundable
-//                       loops, recursion, and over-budget scripts
+//                       acquisition/energy estimates priced with
+//                       sensors::AcquisitionEnergyMj, and a worst-case step
+//                       count over the lowered IR the phone executes
+//                       (BoundSteps); rejects unboundable loops, recursion,
+//                       and over-budget scripts
 //
 // The analyzer is deliberately conservative in both directions: it only
 // *errors* on programs that are guaranteed wrong if the flagged code runs
@@ -39,8 +41,9 @@ struct AnalyzerOptions {
   // Samples assumed for an acquisition call whose sample-count argument is
   // absent; mirrors TaskInstance's samples_per_window fallback.
   int default_samples_per_window = 5;
-  // Interpreter instruction budget the worst-case step estimate is checked
-  // against (SA404). Matches InterpreterOptions::max_steps.
+  // Instruction budget the worst-case step bound is checked against
+  // (SA404): IR instructions retired per run, the unit and default of
+  // InterpreterOptions::max_steps, so an accepted script cannot exhaust it.
   double max_steps = 2'000'000;
   // Per-run energy budget in millijoules (SA403). <= 0 disables the check.
   double energy_budget_mj = 0.0;
@@ -50,11 +53,6 @@ struct AnalyzerOptions {
   // Extra host functions to accept (variadic, untyped). Lets embedders that
   // register bespoke helpers keep their scripts lint-clean.
   std::vector<std::string> extra_host_fns;
-  // Lower to the dataflow IR and run the flow-sensitive passes (SA5xx,
-  // interval loop-bound tightening, the information-flow manifest). Off
-  // yields the purely syntactic analysis; tests use it to assert the IR
-  // bounds never exceed the syntactic ones.
-  bool ir_passes = true;
 };
 
 // Analyze a parsed program.

@@ -76,7 +76,7 @@ struct ScriptManifest {
   std::vector<SensorKind> required_sensors;  // sorted, unique
   double worst_case_acquisitions = 0.0;  // physical samples per run (bound)
   double worst_case_energy_mj = 0.0;     // per run, via AcquisitionEnergyMj
-  double worst_case_steps = 0.0;         // interpreter ticks per run (bound)
+  double worst_case_steps = 0.0;         // IR instructions per run (bound)
   bool cost_bounded = true;              // false => SA401/SA402 was emitted
 };
 

@@ -1160,6 +1160,105 @@ void CollectTripBounds(const ir::Module& m, const ModuleInfo& info,
   }
 }
 
+// --- step bound -------------------------------------------------------------
+
+class StepCounter {
+ public:
+  StepCounter(const ir::Module& m, const std::map<LoopKey, double>& trips)
+      : m_(m), trips_(trips), memo_(m.functions.size()),
+        state_(m.functions.size(), kUnvisited) {
+    for (const ir::Function& fn : m.functions) {
+      for (const BasicBlock& b : fn.blocks) {
+        for (const Inst& inst : b.insts) {
+          if (inst.op == Op::kDefineFn) defs_[inst.a].push_back(inst.b);
+        }
+      }
+    }
+  }
+
+  StepBound Of(std::uint32_t f) {
+    if (state_[f] == kDone) return memo_[f];
+    if (state_[f] == kInProgress) return StepBound{kInf, 0, 0};  // recursion
+    state_[f] = kInProgress;
+    memo_[f] = Price(m_.functions[f]);
+    state_[f] = kDone;
+    return memo_[f];
+  }
+
+ private:
+  enum State : std::uint8_t { kUnvisited, kInProgress, kDone };
+
+  StepBound Price(const ir::Function& fn) {
+    const std::vector<std::uint8_t> reach = ReachableBlocks(fn);
+    std::vector<double> trips(fn.loops.size(), 0.0);
+    for (std::size_t i = 0; i < fn.loops.size(); ++i) {
+      const ir::LoopInfo& loop = fn.loops[i];
+      const int kind = loop.kind == ir::LoopInfo::Kind::kWhile ? 0 : 1;
+      const auto it = trips_.find({loop.line, kind});
+      if (it != trips_.end()) {
+        trips[i] = it->second;
+      } else if (reach[static_cast<std::size_t>(loop.head_block)]) {
+        return StepBound{kInf, loop.line, kInf};
+      }
+    }
+
+    StepBound out;
+    std::vector<double> loop_steps(fn.loops.size(), 0.0);
+    for (std::size_t b = 0; b < fn.blocks.size(); ++b) {
+      if (!reach[b]) continue;
+      const int id = static_cast<int>(b);
+      double mult = 1.0;
+      int outermost = -1;
+      for (std::size_t i = 0; i < fn.loops.size(); ++i) {
+        const ir::LoopInfo& loop = fn.loops[i];
+        if (id < loop.head_block || id >= loop.exit_block) continue;
+        mult *= id < loop.body_block ? trips[i] + 1.0 : trips[i];
+        if (outermost < 0 ||
+            loop.head_block <
+                fn.loops[static_cast<std::size_t>(outermost)].head_block)
+          outermost = static_cast<int>(i);
+      }
+      if (mult == 0.0) continue;  // the body of a loop that never iterates
+
+      double cost = static_cast<double>(fn.blocks[b].insts.size());
+      StepBound heaviest_callee;
+      for (const Inst& inst : fn.blocks[b].insts) {
+        if (inst.op != Op::kCall) continue;
+        const auto defs = defs_.find(inst.imm);
+        if (defs == defs_.end()) continue;  // print / host function
+        StepBound dearest;
+        for (const std::uint32_t callee : defs->second) {
+          const StepBound c = Of(callee);
+          if (c.steps > dearest.steps) dearest = c;
+        }
+        cost += dearest.steps;
+        if (dearest.heavy_loop_steps > heaviest_callee.heavy_loop_steps)
+          heaviest_callee = dearest;
+      }
+      out.steps += cost * mult;
+      if (outermost >= 0) {
+        loop_steps[static_cast<std::size_t>(outermost)] += cost * mult;
+      } else if (heaviest_callee.heavy_loop_steps > out.heavy_loop_steps) {
+        out.heavy_loop_steps = heaviest_callee.heavy_loop_steps;
+        out.heavy_loop_line = heaviest_callee.heavy_loop_line;
+      }
+    }
+    for (std::size_t i = 0; i < fn.loops.size(); ++i) {
+      if (loop_steps[i] > out.heavy_loop_steps) {
+        out.heavy_loop_steps = loop_steps[i];
+        out.heavy_loop_line = fn.loops[i].line;
+      }
+    }
+    return out;
+  }
+
+  const ir::Module& m_;
+  const std::map<LoopKey, double>& trips_;
+  std::map<std::uint32_t, std::vector<std::uint32_t>> defs_;  // name -> fns
+  std::vector<StepBound> memo_;
+  std::vector<State> state_;
+};
+
 // --- sensor taint ----------------------------------------------------------
 
 using TaintMask = std::uint32_t;
@@ -1379,6 +1478,13 @@ void RunTaint(const ir::Module& m, const ModuleInfo& info, TaintCtx& ctx) {
 }
 
 }  // namespace
+
+StepBound BoundSteps(const ir::Module& m,
+                     const std::map<LoopKey, double>& trips) {
+  if (m.functions.empty()) return {};
+  StepCounter counter(m, trips);
+  return counter.Of(0);
+}
 
 // --- analysis driver -------------------------------------------------------
 

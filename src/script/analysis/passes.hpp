@@ -15,9 +15,9 @@
 //   sensor taint                      the information-flow manifest and
 //                                     SA505 (sensor-free output)
 //
-// OptimizeModule is semantics-preserving and is what the interpreter's IR
-// execution mode runs; AnalyzeModule additionally derives diagnostics,
-// trip bounds, and the flow manifest from the optimized module.
+// OptimizeModule is semantics-preserving; AnalyzeModule runs it and derives
+// diagnostics, trip bounds, and the flow manifest from the optimized
+// module. BoundSteps prices the unoptimized module phones execute.
 #pragma once
 
 #include <map>
@@ -78,5 +78,21 @@ struct IrAnalysis {
 // information-flow manifest from the optimized module.
 [[nodiscard]] IrAnalysis AnalyzeModule(ir::Module& m,
                                        const IrAnalysisOptions& opts = {});
+
+// Worst-case IR instructions one run of a module retires — the unit of
+// InterpreterOptions::max_steps, so SA404 checks what the executor counts.
+struct StepBound {
+  double steps = 0;         // +inf: a reachable loop lacks a bound, or
+                            // calls recurse (SA401/SA402 already fired)
+  int heavy_loop_line = 0;  // outermost loop costing the most (0: none)
+  double heavy_loop_steps = 0;  // that loop's share of `steps`
+};
+
+// Prices each reachable block at its instruction count times the trip
+// bounds of its enclosing loops (a loop's condition blocks run once more
+// than its body), plus the dearest definition of every script function a
+// kCall may bind. `trips` bounds body executions per (line, kind) loop.
+[[nodiscard]] StepBound BoundSteps(const ir::Module& m,
+                                   const std::map<LoopKey, double>& trips);
 
 }  // namespace sor::script::analysis

@@ -1,9 +1,7 @@
 // SenseScript abstract syntax tree.
 //
-// Plain struct hierarchy with unique_ptr ownership; the interpreter walks
-// it directly (no bytecode — sensing scripts are tiny and run a handful of
-// acquisition loops, so tree walking is more than fast enough and far
-// simpler to audit for the security whitelist).
+// Plain struct hierarchy with unique_ptr ownership. The static analyzer
+// walks it; execution goes through the IR it lowers to (script/ir/).
 #pragma once
 
 #include <memory>

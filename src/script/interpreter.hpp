@@ -1,4 +1,4 @@
-// SenseScript interpreter.
+// SenseScript host boundary and execution limits.
 //
 // §II-A: "The script interpreter tells the task instance which Java
 // function to call to obtain data from sensors ... security can be enforced
@@ -7,19 +7,21 @@
 // the registry IS the whitelist: a script calling anything unregistered
 // fails with kPermissionDenied (exercised by the failure-injection tests).
 //
-// Scripts also run under an instruction budget so a buggy or malicious
-// task description distributed by a server cannot spin a phone forever.
+// The interpreter itself is the IR executor (script/ir/exec.hpp): a phone
+// parses and lowers a task's script once and runs the lowered module at
+// every scheduled instant. Scripts run under an instruction budget so a
+// buggy or malicious task description distributed by a server cannot spin
+// a phone forever; the analyzer's SA404 proves the budget holds first.
 #pragma once
 
+#include <cstdint>
 #include <functional>
 #include <map>
-#include <memory>
 #include <span>
 #include <string>
 #include <vector>
 
 #include "common/result.hpp"
-#include "script/ast.hpp"
 #include "script/value.hpp"
 
 namespace sor::script {
@@ -41,45 +43,23 @@ class HostRegistry {
 };
 
 struct InterpreterOptions {
-  // Maximum number of AST-node evaluations before the script is killed.
+  // Maximum number of IR instructions a run may retire before it is
+  // killed. One step is one executed ir::Inst, terminators included.
   std::uint64_t max_steps = 2'000'000;
   // Maximum call depth (scripts can define and call functions).
   int max_call_depth = 64;
-  // Execute through the basic-block IR (script/ir/) instead of the AST
-  // walker. Observable behaviour is bit-identical (differential-tested in
-  // test_ir); only ExecutionResult::steps counts IR instructions instead
-  // of AST evaluations. The analysis layer can additionally run
-  // OptimizeModule over a lowered module before ir::Execute.
-  bool use_ir = false;
 };
 
 struct ExecutionResult {
   Value return_value;        // value of a top-level `return`, else nil
-  std::uint64_t steps = 0;   // AST evaluations consumed
+  std::uint64_t steps = 0;   // IR instructions retired
   std::string output;        // everything print() emitted
 };
 
-class Interpreter {
- public:
-  explicit Interpreter(const HostRegistry& host,
-                       InterpreterOptions opts = {});
-
-  // Parse + execute in one go.
-  [[nodiscard]] Result<ExecutionResult> Run(std::string_view source);
-
-  // Execute an already-parsed program (reusable across phones).
-  [[nodiscard]] Result<ExecutionResult> Execute(const Program& program);
-
- private:
-  class Impl;
-  const HostRegistry& host_;
-  InterpreterOptions opts_;
-};
-
-// Installs the pure builtin library (print, len, push, abs, floor, min,
-// max, tostring, tonumber, mean, stddev) into a registry. `print` appends
-// to ExecutionResult::output via an interpreter-internal hook, so it is
-// registered by the interpreter itself; this installs everything else.
+// Installs the pure builtin library (len, push, abs, floor, min, max,
+// tostring, tonumber, mean, stddev) into a registry. `print` appends to
+// ExecutionResult::output, so the executor handles it itself; this
+// installs everything else.
 void InstallStdlib(HostRegistry& registry);
 
 }  // namespace sor::script

@@ -6,6 +6,8 @@
 #include <utility>
 #include <vector>
 
+#include "script/ast.hpp"
+
 namespace sor::script::ir {
 namespace {
 

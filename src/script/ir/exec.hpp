@@ -1,7 +1,9 @@
-// IR executor: runs a lowered (optionally optimized) module with the same
-// observable behaviour as the AST interpreter — return value, print output,
-// and error text are bit-identical; only ExecutionResult::steps differs
-// (IR instructions retired instead of AST evaluations).
+// IR executor: the SenseScript interpreter. Runs a lowered (optionally
+// optimized) module against a host registry. Every retired instruction is
+// one step of InterpreterOptions::max_steps; a call to a name that is
+// neither script-defined nor registered fails with kPermissionDenied — the
+// only runtime whitelist check. The differential tests hold its return
+// values, print output and error text to a reference tree walker.
 #pragma once
 
 #include "common/result.hpp"

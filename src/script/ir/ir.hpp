@@ -9,12 +9,13 @@
 // line-addressed.
 //
 // The IR serves two consumers:
+//   * the IR executor (src/script/ir/exec.cpp), the one SenseScript
+//     interpreter: phones lower a task's script once and execute the
+//     module at every scheduled instant, and
 //   * the analysis passes in src/script/analysis/ (worklist dataflow over
 //     the CFG: definite assignment, constant propagation, liveness,
-//     intervals, sensor taint), which annotate and optimize it, and
-//   * the IR executor (src/script/ir/exec.cpp), an interpreter over the
-//     instruction stream that reproduces the AST interpreter's observable
-//     behaviour — values, print output, and error messages — bit for bit.
+//     intervals, sensor taint, and the SA404 step bound over the very
+//     instructions the executor retires).
 #pragma once
 
 #include <cstdint>
@@ -94,7 +95,9 @@ struct BasicBlock {
 };
 
 // Loop metadata recorded at lowering so interval analysis can derive trip
-// bounds without re-discovering loop structure from the CFG.
+// bounds without re-discovering loop structure from the CFG. The lowerer
+// numbers a loop's blocks contiguously: [head_block, exit_block) is the
+// whole loop, of which [head_block, body_block) evaluates the condition.
 struct LoopInfo {
   enum class Kind : std::uint8_t { kWhile, kNumericFor };
   Kind kind = Kind::kWhile;

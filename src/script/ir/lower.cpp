@@ -12,8 +12,9 @@ namespace {
 // frame once the function's named-slot count is final.
 constexpr Reg kTempBase = 1u << 20;
 
-// The AST interpreter resolves names dynamically, but because SenseScript
-// has no closures and function bodies only ever see [globals, own scope],
+// The reference AST walker (tests/ast_walker.cpp) resolves names
+// dynamically, but because SenseScript has no closures and function bodies
+// only ever see [globals, own scope],
 // in-order lexical resolution visits bindings in exactly the order the
 // dynamic scope stack would: a name is a frame slot if a `local` (or param)
 // for it has been walked in a still-open scope, and a global otherwise.
@@ -129,7 +130,7 @@ class Lowerer {
 
   // Snapshot a register the current statement may later observe: named
   // slots are live storage, so their value must be captured at evaluation
-  // time (the AST interpreter copies on Eval).
+  // time (the reference AST walker copies on Eval).
   Reg Snapshot(Reg r, int line) {
     if (!IsNamed(r)) return r;
     const Reg t = NewTemp();
@@ -324,7 +325,7 @@ class Lowerer {
   // Lowers a statement list inside a fresh block scope (if/while/for body).
   // Emits a kClearSlots covering every slot the scope (transitively)
   // declares so loop re-entry sees iteration-fresh locals, exactly like the
-  // AST interpreter's per-iteration scope push.
+  // reference AST walker's per-iteration scope push.
   void LowerBlockScope(const std::vector<StmtPtr>& body, bool fresh_scope) {
     FnCtx& c = ctx();
     int clear_block = -1;
@@ -390,7 +391,7 @@ class Lowerer {
         const Reg v = EvalExpr(*st.expr);
         if (st.target_index) {
           // list[i] = v evaluates value, list, then index — and checks the
-          // list between the last two (AST interpreter order).
+          // list between the last two (the reference AST walker's order).
           const Reg vv = Snapshot(v, st.line);
           const Reg list = EvalExpr(*st.target_index->lhs);
           Emit(Inst{.op = Op::kCheckList, .line = st.line, .a = list});
@@ -619,8 +620,8 @@ class Lowerer {
       }
       case Stmt::Kind::kBreak: {
         if (ctx().loop_stack.empty()) {
-          // The AST interpreter unwinds a loop-less break out of the whole
-          // block, leaving the return value nil — same as `return`.
+          // The reference AST walker unwinds a loop-less break out of the
+          // whole block, leaving the return value nil — same as `return`.
           Emit(Inst{.op = Op::kReturn, .line = st.line});
         } else {
           // Exit block doesn't exist yet; record for patching.

@@ -8,7 +8,7 @@ namespace sor::script::ir {
 
 // Lower a parsed program to a CFG module. Never fails on a parseable
 // program: scripts with scope/type errors lower to IR whose execution
-// raises the same runtime errors the AST interpreter would.
+// raises the same runtime errors the reference AST walker would.
 [[nodiscard]] Module Lower(const Program& program);
 
 }  // namespace sor::script::ir

@@ -334,6 +334,14 @@ void Daemon::HandleCall(const Inbound& inbound) {
   }
 
   Bytes reply = server_->HandleFrame(inbound.record.frame);
+
+  // Campaign completion is decided from traffic alone: once every expected
+  // participation has been opened and none remain active, the campaign is
+  // over. Finalizing before the last leave's reply is written keeps this
+  // race-free for clients — when their final Call returns, the rankings
+  // file exists.
+  const bool finalized_now = is_leave && MaybeFinalize();
+
   Record out;
   out.kind = RecordKind::kReply;
   out.corr = inbound.record.corr;
@@ -344,12 +352,9 @@ void Daemon::HandleCall(const Inbound& inbound) {
       !s.ok()) {
     conn->dead.store(true, std::memory_order_relaxed);
   }
-
-  // Campaign completion is decided from traffic alone: once every expected
-  // participation has been opened and none remain active, the campaign is
-  // over. Finalizing inside the last leave's call keeps this race-free for
-  // clients — when their final Call returns, the rankings file exists.
-  if (is_leave) MaybeFinalize();
+  // The snapshot only makes the finished campaign durable; the client
+  // waiting on the reply needs the rankings, not the snapshot.
+  if (finalized_now) WriteSnapshot();
 }
 
 Bytes Daemon::RelayPush(const std::string& endpoint,
@@ -407,15 +412,15 @@ Bytes Daemon::RelayEndpoint::HandleFrame(std::span<const std::uint8_t> frame) {
   return daemon_.RelayPush(endpoint_, frame);
 }
 
-void Daemon::MaybeFinalize() {
-  if (finalized_.load(std::memory_order_relaxed)) return;
+bool Daemon::MaybeFinalize() {
+  if (finalized_.load(std::memory_order_relaxed)) return false;
   server::ParticipationManager& parts = server_->participations();
-  if (parts.TotalCount() < expected_participations_) return;
-  if (parts.ActiveCount() != 0) return;
+  if (parts.TotalCount() < expected_participations_) return false;
+  if (parts.ActiveCount() != 0) return false;
 
   if (Result<int> n = server_->ProcessAllData(); !n.ok()) {
     SOR_LOG(kWarn, "daemon", "finalize: processing failed: " << n.error().str());
-    return;
+    return false;
   }
   const std::vector<server::ApplicationRecord> records =
       server_->applications().All();
@@ -424,7 +429,7 @@ void Daemon::MaybeFinalize() {
                                                    config_.scenario.features);
   if (!matrix.ok()) {
     SOR_LOG(kWarn, "daemon", "finalize: matrix failed: " << matrix.error().str());
-    return;
+    return false;
   }
   const rank::PersonalizableRanker ranker(matrix.value());
   std::vector<std::pair<std::string, rank::RankingOutcome>> rankings;
@@ -433,7 +438,7 @@ void Daemon::MaybeFinalize() {
         ranker.Rank(profile, config_.aggregation);
     if (!outcome.ok()) {
       SOR_LOG(kWarn, "daemon", "finalize: ranking failed: " << outcome.error().str());
-      return;
+      return false;
     }
     rankings.emplace_back(profile.name, std::move(outcome).value());
   }
@@ -443,13 +448,13 @@ void Daemon::MaybeFinalize() {
         reinterpret_cast<const std::uint8_t*>(text.data()), text.size());
     if (Status s = WriteFileAtomic(config_.rankings_path, bytes); !s.ok()) {
       SOR_LOG(kWarn, "daemon", "finalize: " << s.str());
-      return;
+      return false;
     }
   }
-  WriteSnapshot();
-  finalized_.store(true, std::memory_order_relaxed);
+  finalized_.store(true, std::memory_order_release);
   SOR_LOG(kInfo, "daemon",
           "campaign finalized: " << rankings.size() << " profiles ranked");
+  return true;
 }
 
 void Daemon::WriteSnapshot() {

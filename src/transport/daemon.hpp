@@ -109,7 +109,7 @@ class Daemon {
 
   // True once the campaign completed and rankings were written.
   [[nodiscard]] bool finalized() const {
-    return finalized_.load(std::memory_order_relaxed);
+    return finalized_.load(std::memory_order_acquire);
   }
 
   [[nodiscard]] obs::MetricsRegistry& metrics() { return *registry_; }
@@ -164,7 +164,9 @@ class Daemon {
   void BindSession(const std::string& endpoint, std::uint64_t conn_id);
   [[nodiscard]] Bytes RelayPush(const std::string& endpoint,
                                 std::span<const std::uint8_t> frame);
-  void MaybeFinalize();
+  // Processes, ranks and writes the rankings once the campaign is over;
+  // true when this call did it (the caller then writes the snapshot).
+  bool MaybeFinalize();
   void WriteSnapshot();
   void FailPush(Conn& conn);
 

@@ -133,14 +133,12 @@ TEST(Daemon, MiniCampaignMatchesInProcessRankings) {
   EXPECT_GT(report.value().uploads_sent, 0u);
   EXPECT_GT(report.value().pushes_served, 0u);  // schedule distributions
 
-  // The dispatcher finalizes right after replying to the last leave, so
-  // loadgen's return can race it by a beat — poll briefly.
-  for (int i = 0; i < 200 && !daemon.finalized(); ++i)
-    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  // The dispatcher finalizes before it replies to the last leave, so by
+  // the time loadgen returns the rankings file is already on disk.
   EXPECT_TRUE(daemon.finalized());
+  const std::string daemon_rankings = ReadFile(config.rankings_path);
   daemon.Stop();
 
-  const std::string daemon_rankings = ReadFile(config.rankings_path);
   ASSERT_FALSE(daemon_rankings.empty());
   EXPECT_EQ(daemon_rankings, InProcessRankings(MiniScenario(), 42));
 

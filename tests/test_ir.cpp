@@ -1,26 +1,36 @@
-// SenseScript IR: lowering/executor parity with the AST interpreter.
+// SenseScript IR: executor parity with the reference tree walker, and the
+// step-budget contract.
 //
-// The IR execution mode is only sound if a lowered (and later, optimized)
-// module is observationally identical to the tree-walking interpreter:
-// same return value (bit-for-bit for numbers), same print output, same
-// error code/message/line. This file checks that three ways:
+// The IR executor is the only engine phones run, so a lowered (and
+// optimized) module must be observationally identical to the reference
+// AST walker in ast_walker.cpp: same return value (bit-for-bit for
+// numbers), same print output, same error code/message/line. This file
+// checks that three ways:
 //   * targeted edge cases for every semantic subtlety the lowering has to
 //     preserve (iteration-fresh block scopes, evaluation order, dynamic
 //     function binding, short-circuit result values, ...),
-//   * a seeded random-program fuzz battery (>= 500 programs), and
+//   * a seeded random-program fuzz battery (600 programs), and
 //   * the same battery partitioned across 1/2/8 worker threads, asserting
 //     the aggregated result fingerprints are thread-count invariant.
+// The IrBudget tests then hold SA404 to what it proves: an IR run of an
+// accepted script never retires more steps than the analyzer's bound.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
+#include <filesystem>
+#include <fstream>
 #include <random>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "ast_walker.hpp"
+#include "core/system.hpp"
 #include "script/analysis/analyzer.hpp"
+#include "script/analysis/host_api.hpp"
 #include "script/analysis/passes.hpp"
 #include "script/interpreter.hpp"
 #include "script/ir/exec.hpp"
@@ -91,12 +101,11 @@ DiffResult RunDifferential(const std::string& source) {
   const HostRegistry host = MakeTestHost();
   DiffResult out;
 
-  Interpreter interp(host);
-  out.ast = Fingerprint(interp.Run(source));
+  out.ast = Fingerprint(reference::RunAstWalker(source, host));
 
   Result<Program> program = Parse(source);
   if (!program.ok()) {
-    // Parse failures never reach lowering; mirror the interpreter result.
+    // Parse failures never reach lowering; mirror the walker's result.
     out.ir = Fingerprint(Result<ExecutionResult>(program.error()));
     out.opt = out.ir;
     return out;
@@ -727,6 +736,130 @@ TEST(IrFuzz, ThreadCountInvariantFingerprints) {
       }
     }
   }
+}
+
+// --- budget contract ---------------------------------------------------------
+//
+// What SA404 proves: for a script the analyzer bounds, the IR run a phone
+// performs retires no more steps than manifest.worst_case_steps, and an
+// accepted script's bound is within the budget. Each run executes under a
+// budget of exactly the bound, so a run that stops on a runtime error still
+// shows it never needed more.
+
+// The test host plus stand-ins for the phone's host functions: each
+// acquisition returns as many readings as it asks for (the analyzer's
+// default when it does not say), the introspection helpers a number.
+HostRegistry MakePhoneHost(int default_samples) {
+  HostRegistry host = MakeTestHost();
+  for (const analysis::HostSignature& sig : analysis::HostSignatures()) {
+    const std::string name(sig.name);
+    if (name == "print" || host.Find(name) != nullptr) continue;
+    if (!sig.sensor.has_value()) {
+      host.Register(name, [](std::span<const Value>) -> Result<Value> {
+        return Value(1.0);
+      });
+      continue;
+    }
+    host.Register(name, [default_samples](std::span<const Value> args)
+                            -> Result<Value> {
+      int n = default_samples;
+      if (!args.empty() && args[0].is_number())
+        n = std::max(1, static_cast<int>(args[0].as_number()));
+      List readings;
+      for (int i = 0; i < n; ++i) readings.emplace_back(0.5 * i);
+      return Value::MakeList(std::move(readings));
+    });
+  }
+  return host;
+}
+
+struct BudgetOutcome {
+  bool bounded = false;   // the analyzer bounded the cost
+  bool accepted = false;  // ... and reported no error
+};
+
+BudgetOutcome ExpectRunWithinBound(const std::string& source,
+                                   const std::string& label,
+                                   const analysis::AnalyzerOptions& options) {
+  BudgetOutcome out;
+  const Result<Program> program = Parse(source);
+  if (!program.ok()) return out;
+  const analysis::AnalysisReport report =
+      analysis::Analyze(program.value(), options);
+  if (!report.manifest.cost_bounded) return out;
+  out.bounded = true;
+  out.accepted = report.ok();
+  const double bound = report.manifest.worst_case_steps;
+  if (out.accepted) {
+    EXPECT_LE(bound, options.max_steps) << label;
+  }
+
+  const HostRegistry host = MakePhoneHost(options.default_samples_per_window);
+  InterpreterOptions budget;
+  budget.max_steps = static_cast<std::uint64_t>(bound);
+  const Result<ExecutionResult> run =
+      ir::Execute(ir::Lower(program.value()), host, budget);
+  if (run.ok()) {
+    EXPECT_LE(static_cast<double>(run.value().steps), bound) << label;
+  } else {
+    EXPECT_EQ(run.error().message.find("instruction budget exhausted"),
+              std::string::npos)
+        << label << ": " << run.error().str() << "\n" << source;
+  }
+  return out;
+}
+
+std::string ReadFile(const std::filesystem::path& path) {
+  std::ifstream in(path);
+  std::ostringstream buf;
+  buf << in.rdbuf();
+  return buf.str();
+}
+
+TEST(IrBudget, StepBoundCoversExampleScripts) {
+  int seen = 0;
+  for (const auto& entry :
+       std::filesystem::directory_iterator(SOR_EXAMPLE_SCRIPTS_DIR)) {
+    if (entry.path().extension() != ".sor") continue;
+    const std::string label = entry.path().filename().string();
+    const BudgetOutcome out =
+        ExpectRunWithinBound(ReadFile(entry.path()), label, {});
+    EXPECT_TRUE(out.accepted) << label;
+    ++seen;
+  }
+  EXPECT_GE(seen, 4);  // the repo ships at least four example scripts
+}
+
+TEST(IrBudget, StepBoundCoversBuiltins) {
+  for (const world::PlaceCategory category :
+       {world::PlaceCategory::kHikingTrail, world::PlaceCategory::kCoffeeShop}) {
+    const BudgetOutcome out = ExpectRunWithinBound(
+        core::DefaultScript(category), "builtin", {});
+    EXPECT_TRUE(out.accepted);
+  }
+}
+
+TEST(IrBudget, StepBoundCoversFuzzBattery) {
+  analysis::AnalyzerOptions options;
+  options.extra_host_fns = {"get_value", "get_series", "host_fail"};
+  int bounded = 0;
+  int accepted = 0;
+  for (const std::uint32_t seed : kFuzzSeeds) {
+    const std::vector<std::string> programs = GeneratePrograms(seed);
+    for (std::size_t i = 0; i < programs.size(); ++i) {
+      const BudgetOutcome out = ExpectRunWithinBound(
+          programs[i],
+          "seed " + std::to_string(seed) + " program " + std::to_string(i),
+          options);
+      bounded += out.bounded ? 1 : 0;
+      accepted += out.accepted ? 1 : 0;
+    }
+  }
+  // The contract is checked on every program the analyzer bounds (591 of
+  // the 600), a superset of those it accepts outright (11): most generated
+  // programs carry a deliberate error, such as an undefined name.
+  EXPECT_GE(bounded, 500);
+  EXPECT_GE(accepted, 10);
 }
 
 }  // namespace

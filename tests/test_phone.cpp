@@ -111,6 +111,19 @@ TEST(TaskInstance, AnalyzerRejectsUnboundedLoopAtCompile) {
   EXPECT_EQ(task.stats().script_errors, 1u);
 }
 
+TEST(TaskInstance, OverBudgetLoopRejectedAtCompileNotAtRun) {
+  // 400'000 empty iterations retire 2'400'008 IR steps, over the
+  // 2'000'000 budget: SA404 refuses the task before its first instant,
+  // instead of the executor killing it mid-run.
+  TaskInstance task(TaskId{1}, AppId{1}, "for i = 1, 400000 do end",
+                    {SimTime{1'000}}, SimDuration{100}, 1);
+  EXPECT_EQ(task.status(), TaskStatus::kError);
+  EXPECT_NE(task.last_error().find("SA404"), std::string::npos)
+      << task.last_error();
+  EXPECT_EQ(task.stats().script_errors, 1u);
+  EXPECT_EQ(task.stats().executions, 0u);
+}
+
 TEST(TaskInstance, RuntimeScriptErrorSetsErrorStatus) {
   FakeEnvironment env;
   sensors::BluetoothLink link;

@@ -4,11 +4,22 @@
 #include <gtest/gtest.h>
 
 #include "script/interpreter.hpp"
+#include "script/ir/exec.hpp"
+#include "script/ir/lower.hpp"
 #include "script/lexer.hpp"
 #include "script/parser.hpp"
 
 namespace sor::script {
 namespace {
+
+// Parse, lower and execute — the phone's compile-once path in one call.
+Result<ExecutionResult> RunSource(const std::string& src,
+                                  const HostRegistry& host,
+                                  const InterpreterOptions& opts = {}) {
+  Result<Program> program = Parse(src);
+  if (!program.ok()) return program.error();
+  return ir::Execute(ir::Lower(program.value()), host, opts);
+}
 
 // Run a script with the stdlib plus any extra host functions; expect
 // success and return the result.
@@ -21,8 +32,7 @@ ExecutionResult RunScript(const std::string& src,
     for (const std::string& name : extra->Names())
       host.Register(name, *extra->Find(name));
   }
-  Interpreter interp(host, opts);
-  Result<ExecutionResult> r = interp.Run(src);
+  Result<ExecutionResult> r = RunSource(src, host, opts);
   EXPECT_TRUE(r.ok()) << (r.ok() ? "" : r.error().str());
   return r.ok() ? std::move(r).value() : ExecutionResult{};
 }
@@ -30,8 +40,7 @@ ExecutionResult RunScript(const std::string& src,
 Error ScriptError(const std::string& src, InterpreterOptions opts = {}) {
   HostRegistry host;
   InstallStdlib(host);
-  Interpreter interp(host, opts);
-  Result<ExecutionResult> r = interp.Run(src);
+  Result<ExecutionResult> r = RunSource(src, host, opts);
   EXPECT_FALSE(r.ok()) << "script unexpectedly succeeded";
   return r.ok() ? Error{} : r.error();
 }
@@ -298,8 +307,7 @@ print(f())
 TEST(Interp, TopLevelReturnValue) {
   HostRegistry host;
   InstallStdlib(host);
-  Interpreter interp(host);
-  Result<ExecutionResult> r = interp.Run("return 6 * 7");
+  Result<ExecutionResult> r = RunSource("return 6 * 7", host);
   ASSERT_TRUE(r.ok());
   ASSERT_TRUE(r.value().return_value.is_number());
   EXPECT_DOUBLE_EQ(r.value().return_value.as_number(), 42.0);
@@ -331,8 +339,7 @@ TEST(Interp, HostErrorsPropagateWithContext) {
   host.Register("get_broken", [](std::span<const Value>) -> Result<Value> {
     return Error{Errc::kTimeout, "sensor timed out"};
   });
-  Interpreter interp(host);
-  Result<ExecutionResult> r = interp.Run("get_broken()");
+  Result<ExecutionResult> r = RunSource("get_broken()", host);
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.error().code, Errc::kTimeout);
   EXPECT_NE(r.error().message.find("get_broken"), std::string::npos);

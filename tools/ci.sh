@@ -229,6 +229,17 @@ if [[ -x build/bench/scale_phones ]]; then
          "join replanning regressed toward O(fleet)" >&2
     exit 1
   fi
+  # Bench binaries reject flags they do not know: `--help` must exit 2
+  # naming the flag, not silently run the full default sweep.
+  help_status=0
+  help_err="$(build/bench/scale_phones --help 2>&1 >/dev/null)" \
+    || help_status=$?
+  if [[ "${help_status}" -ne 2 ]] || ! grep -q -- "--help" <<<"${help_err}"; then
+    echo "ci: scale_phones --help exited ${help_status} (want 2):" \
+         "${help_err}" >&2
+    exit 1
+  fi
+  echo "ci: bench unknown flags rejected with exit 2"
 else
   echo "ci: build/bench/scale_phones not built; skipping scale smoke" >&2
 fi
