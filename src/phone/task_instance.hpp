@@ -21,6 +21,7 @@
 #include "common/ids.hpp"
 #include "common/result.hpp"
 #include "phone/preferences.hpp"
+#include "script/interpreter.hpp"
 #include "script/ir/ir.hpp"
 #include "sensors/manager.hpp"
 
@@ -91,6 +92,21 @@ class TaskInstance {
   void ExecuteOnce(SimTime t, sensors::SensorManager& sensors,
                    const LocalPreferenceManager& prefs,
                    std::vector<ReadingTuple>& out);
+
+  // The scheduled instant a thread is executing: what the host functions
+  // act on. ExecuteOnce publishes it in `instant_` around ir::Execute.
+  struct Instant;
+  static thread_local const Instant* instant_;
+
+  // The stdlib, introspection and acquisition functions, built once per
+  // process. They read `instant_` rather than capturing a task, so tasks
+  // stay movable and no task pays for a registry of its own.
+  static const script::HostRegistry& Host();
+
+  // One acquisition call: `samples_per_window_` readings (or the script's
+  // count) within [t, t+Δt], recorded as a (t, Δt, d) tuple for upload.
+  Result<script::Value> Acquire(const Instant& at, SensorKind kind,
+                                std::span<const script::Value> args);
 
   TaskId id_;
   AppId app_;

@@ -1,8 +1,6 @@
 #include "script/analysis/analyzer.hpp"
 
 #include <algorithm>
-#include <cmath>
-#include <limits>
 #include <map>
 #include <set>
 #include <utility>
@@ -11,29 +9,25 @@
 #include "script/analysis/passes.hpp"
 #include "script/ir/lower.hpp"
 #include "script/parser.hpp"
-#include "sensors/energy.hpp"
 
 namespace sor::script::analysis {
 
 namespace {
 
 // ===========================================================================
-// Pass 1+2+3: scope/flow, types, capability.
+// Scope, types and capability.
 //
 // One abstract interpretation walk mirroring the language's scoping rules
 // exactly (as src/script/ir/lower.cpp resolves them): a scope stack whose
 // bottom is the global scope, block scopes pushed for if/while/for bodies,
 // `local` declaring in the innermost scope, plain assignment writing the
 // nearest enclosing binding or else creating a global. Branches are joined;
-// a name bound on only one incoming path becomes "maybe unassigned" (SA102).
+// whether a binding is assigned on every path is the IR's definite-
+// assignment question (SA102/SA501), not this walk's.
 // ===========================================================================
 
-struct VarInfo {
-  SType type = SType::kAny;
-  bool maybe = false;  // possibly unassigned on some path
-};
-
-using Scope = std::map<std::string, VarInfo>;
+// Name -> the type bound to it.
+using Scope = std::map<std::string, SType>;
 
 SType JoinType(SType a, SType b) { return a == b ? a : SType::kAny; }
 
@@ -78,20 +72,15 @@ class ScopeTypeChecker {
       const Stmt& st = *sp;
       switch (st.kind) {
         case Stmt::Kind::kLocal:
-          assigned_anywhere_.insert(st.name);
           // A top-level `local` lives in the interpreter's global scope, so
           // function bodies can see it.
           if (top_level_main) global_candidates_.insert(st.name);
           break;
         case Stmt::Kind::kAssign:
-          if (!st.target_index) {
-            assigned_anywhere_.insert(st.name);
-            // Plain assignment creates a global when no local exists.
-            global_candidates_.insert(st.name);
-          }
+          // Plain assignment creates a global when no local exists.
+          if (!st.target_index) global_candidates_.insert(st.name);
           break;
         case Stmt::Kind::kNumericFor:
-          assigned_anywhere_.insert(st.name);
           Collect(st.body, false);
           break;
         case Stmt::Kind::kWhile:
@@ -109,8 +98,6 @@ class ScopeTypeChecker {
           } else if (fn_arity_[st.name] != arity) {
             fn_arity_[st.name] = -1;  // conflicting defs: skip arity checks
           }
-          for (const std::string& p : st.params)
-            assigned_anywhere_.insert(p);
           Collect(st.body, false);
           break;
         }
@@ -124,7 +111,7 @@ class ScopeTypeChecker {
 
   // --- environment --------------------------------------------------------
 
-  VarInfo* Find(const std::string& name) {
+  SType* Find(const std::string& name) {
     for (auto it = scopes_.rbegin(); it != scopes_.rend(); ++it) {
       if (auto v = it->find(name); v != it->end()) return &v->second;
     }
@@ -138,23 +125,13 @@ class ScopeTypeChecker {
     return false;
   }
 
-  // Merge `b` into `a` (same stack depth): a name bound in only one path is
-  // maybe-unassigned after the join.
+  // Merge `b` into `a` (same stack depth): a name bound on either path
+  // stays bound, with the join of its types.
   static void MergeScopes(std::vector<Scope>& a, const std::vector<Scope>& b) {
     for (std::size_t i = 0; i < a.size() && i < b.size(); ++i) {
-      for (auto& [name, info] : a[i]) {
-        auto it = b[i].find(name);
-        if (it == b[i].end()) {
-          info.maybe = true;
-        } else {
-          info.type = JoinType(info.type, it->second.type);
-          info.maybe = info.maybe || it->second.maybe;
-        }
-      }
-      for (const auto& [name, info] : b[i]) {
-        if (a[i].count(name) == 0) {
-          a[i][name] = VarInfo{info.type, true};
-        }
+      for (const auto& [name, type] : b[i]) {
+        const auto [it, inserted] = a[i].emplace(name, type);
+        if (!inserted) it->second = JoinType(it->second, type);
       }
     }
   }
@@ -185,7 +162,7 @@ class ScopeTypeChecker {
           Emit("SA103", Severity::kWarning, st.line,
                "local '" + st.name + "' shadows an outer variable");
         }
-        scopes_.back()[st.name] = VarInfo{t, false};
+        scopes_.back()[st.name] = t;
         return false;
       }
       case Stmt::Kind::kAssign: {
@@ -204,11 +181,10 @@ class ScopeTypeChecker {
           }
           return false;
         }
-        if (VarInfo* v = Find(st.name)) {
-          v->type = t;
-          v->maybe = false;
+        if (SType* v = Find(st.name)) {
+          *v = t;
         } else {
-          scopes_.front()[st.name] = VarInfo{t, false};  // creates a global
+          scopes_.front()[st.name] = t;  // creates a global
         }
         return false;
       }
@@ -274,7 +250,7 @@ class ScopeTypeChecker {
         const std::vector<Scope> snapshot = scopes_;
         ++loop_depth_;
         scopes_.emplace_back();
-        scopes_.back()[st.name] = VarInfo{SType::kNumber, false};
+        scopes_.back()[st.name] = SType::kNumber;
         WalkBlock(st.body);
         scopes_.pop_back();
         --loop_depth_;
@@ -311,10 +287,9 @@ class ScopeTypeChecker {
     scopes_.clear();
     scopes_.emplace_back();
     for (const std::string& g : global_candidates_)
-      scopes_.front()[g] = VarInfo{SType::kAny, false};
+      scopes_.front()[g] = SType::kAny;
     scopes_.emplace_back();
-    for (const std::string& p : fn.params)
-      scopes_.back()[p] = VarInfo{SType::kAny, false};
+    for (const std::string& p : fn.params) scopes_.back()[p] = SType::kAny;
     loop_depth_ = 0;
     WalkBlock(fn.body);
     in_function_ = false;
@@ -329,22 +304,11 @@ class ScopeTypeChecker {
       case Expr::Kind::kBool: return SType::kBool;
       case Expr::Kind::kNil: return SType::kNil;
       case Expr::Kind::kName: {
-        if (VarInfo* v = Find(e.text)) {
-          if (v->maybe) {
-            Emit("SA102", Severity::kWarning, e.line,
-                 "'" + e.text + "' may be unassigned here");
-          }
-          return v->type;
-        }
-        if (in_function_) {
-          // Globals are modeled flow-insensitively inside function bodies.
-          if (global_candidates_.count(e.text) != 0) return SType::kAny;
-        }
-        if (assigned_anywhere_.count(e.text) != 0) {
-          Emit("SA102", Severity::kWarning, e.line,
-               "'" + e.text + "' is used before it is assigned");
-          return SType::kAny;
-        }
+        if (SType* v = Find(e.text)) return *v;
+        // A global some path may assign: whether one reaches this use is
+        // the IR's flow-sensitive SA102/SA501. Any other name resolves to
+        // a global nothing ever stores, so the use always fails.
+        if (global_candidates_.count(e.text) != 0) return SType::kAny;
         if (functions_.count(e.text) != 0) {
           Emit("SA101", Severity::kError, e.line,
                "undefined name '" + e.text +
@@ -549,7 +513,6 @@ class ScopeTypeChecker {
   std::vector<Diagnostic>& out_;
   std::set<SensorKind>& required_;
 
-  std::set<std::string> assigned_anywhere_;
   std::set<std::string> global_candidates_;
   std::map<std::string, const Stmt*> functions_;
   std::map<std::string, int> fn_arity_;
@@ -558,740 +521,6 @@ class ScopeTypeChecker {
   std::vector<Scope> scopes_;
   bool in_function_ = false;
   int loop_depth_ = 0;
-};
-
-// ===========================================================================
-// Pass 4: cost & termination.
-//
-// Interval-based constant folding drives static loop bounds; the result is
-// a worst-case count of physical acquisition samples, priced with
-// sensors::AcquisitionEnergyMj, plus each loop's trip bound, from which
-// BoundSteps (passes.hpp) prices the IR instructions a run retires.
-// ===========================================================================
-
-constexpr double kInf = std::numeric_limits<double>::infinity();
-
-struct Interval {
-  double lo = -kInf;
-  double hi = kInf;
-  [[nodiscard]] bool finite() const {
-    return std::isfinite(lo) && std::isfinite(hi);
-  }
-};
-
-// Abstract value: a numeric range, a truthiness verdict, a list-length
-// range — whichever is statically known.
-struct CVal {
-  std::optional<Interval> num;
-  std::optional<bool> truth;
-  std::optional<Interval> len;
-};
-
-std::optional<Interval> IAdd(const std::optional<Interval>& a,
-                             const std::optional<Interval>& b) {
-  if (!a || !b || !a->finite() || !b->finite()) return std::nullopt;
-  return Interval{a->lo + b->lo, a->hi + b->hi};
-}
-std::optional<Interval> ISub(const std::optional<Interval>& a,
-                             const std::optional<Interval>& b) {
-  if (!a || !b || !a->finite() || !b->finite()) return std::nullopt;
-  return Interval{a->lo - b->hi, a->hi - b->lo};
-}
-std::optional<Interval> IMul(const std::optional<Interval>& a,
-                             const std::optional<Interval>& b) {
-  if (!a || !b || !a->finite() || !b->finite()) return std::nullopt;
-  const double p1 = a->lo * b->lo, p2 = a->lo * b->hi;
-  const double p3 = a->hi * b->lo, p4 = a->hi * b->hi;
-  return Interval{std::min(std::min(p1, p2), std::min(p3, p4)),
-                  std::max(std::max(p1, p2), std::max(p3, p4))};
-}
-Interval IHull(const Interval& a, const Interval& b) {
-  return Interval{std::min(a.lo, b.lo), std::max(a.hi, b.hi)};
-}
-
-// Worst-case acquisitions and energy for one execution of a fragment.
-// Steps are priced separately, on the lowered IR (BoundSteps), from the
-// per-loop trip bounds this pass records.
-struct Cost {
-  double samples = 0;   // physical acquisition samples
-  double energy = 0;    // millijoules
-  bool bounded = true;
-  int heavy_line = 0;        // acquisition site with the largest energy
-  double heavy_energy = -1;
-
-  void Add(const Cost& o) {
-    samples += o.samples;
-    energy += o.energy;
-    bounded = bounded && o.bounded;
-    if (o.heavy_energy > heavy_energy) {
-      heavy_energy = o.heavy_energy;
-      heavy_line = o.heavy_line;
-    }
-  }
-
-  void Scale(double n) {
-    samples *= n;
-    energy *= n;
-    heavy_energy *= n;
-  }
-
-  static Cost Max(const Cost& a, const Cost& b) {
-    Cost m;
-    m.samples = std::max(a.samples, b.samples);
-    m.energy = std::max(a.energy, b.energy);
-    m.bounded = a.bounded && b.bounded;
-    const Cost& h = a.heavy_energy >= b.heavy_energy ? a : b;
-    m.heavy_energy = h.heavy_energy;
-    m.heavy_line = h.heavy_line;
-    return m;
-  }
-};
-
-class CostAnalyzer {
- public:
-  CostAnalyzer(const Program& program, const AnalyzerOptions& options,
-               std::vector<Diagnostic>& out,
-               const std::map<LoopKey, double>& trip_overrides)
-      : program_(program), options_(options), out_(out),
-        trip_overrides_(trip_overrides) {}
-
-  Cost Run() {
-    CollectFunctions(program_.statements);
-    env_.clear();
-    env_.emplace_back();
-    return CostOfBlock(program_.statements);
-  }
-
-  // Final trip bound of every loop the walk reached — main's and those of
-  // every function a call can bind — keyed like the IR's LoopInfo.
-  [[nodiscard]] const std::map<LoopKey, double>& loop_bounds() const {
-    return loop_bounds_;
-  }
-
- private:
-  void Emit(std::string code, int line, std::string msg) {
-    out_.push_back(
-        Diagnostic{std::move(code), Severity::kError, line, std::move(msg)});
-  }
-
-  void CollectFunctions(const std::vector<StmtPtr>& body) {
-    for (const StmtPtr& sp : body) {
-      const Stmt& st = *sp;
-      if (st.kind == Stmt::Kind::kFunction) {
-        // Which definition a call binds depends on execution order, so a
-        // call costs as much as the dearest definition of its name.
-        fns_[st.name].push_back(&st);
-        CollectFunctions(st.body);
-      } else if (st.kind == Stmt::Kind::kIf) {
-        CollectFunctions(st.body);
-        CollectFunctions(st.else_body);
-      } else if (st.kind == Stmt::Kind::kWhile ||
-                 st.kind == Stmt::Kind::kNumericFor) {
-        CollectFunctions(st.body);
-      }
-    }
-  }
-
-  // --- abstract environment ----------------------------------------------
-
-  using CEnv = std::map<std::string, CVal>;
-
-  CVal* FindVal(const std::string& name) {
-    for (auto it = env_.rbegin(); it != env_.rend(); ++it) {
-      if (auto v = it->find(name); v != it->end()) return &v->second;
-    }
-    return nullptr;
-  }
-
-  void AssignVal(const std::string& name, CVal v) {
-    if (CVal* slot = FindVal(name)) {
-      *slot = std::move(v);
-    } else {
-      env_.front()[name] = std::move(v);
-    }
-  }
-
-  static void JoinEnv(std::vector<CEnv>& a, const std::vector<CEnv>& b) {
-    for (std::size_t i = 0; i < a.size() && i < b.size(); ++i) {
-      for (auto it = a[i].begin(); it != a[i].end();) {
-        auto bv = b[i].find(it->first);
-        if (bv == b[i].end()) {
-          it = a[i].erase(it);
-          continue;
-        }
-        CVal& av = it->second;
-        const CVal& o = bv->second;
-        av.num = (av.num && o.num) ? std::optional(IHull(*av.num, *o.num))
-                                   : std::nullopt;
-        av.len = (av.len && o.len) ? std::optional(IHull(*av.len, *o.len))
-                                   : std::nullopt;
-        av.truth = (av.truth && o.truth && *av.truth == *o.truth)
-                       ? av.truth
-                       : std::nullopt;
-        ++it;
-      }
-    }
-  }
-
-  // Names (re)assigned anywhere in a block — used to widen loop bodies.
-  static void CollectAssigned(const std::vector<StmtPtr>& body,
-                              std::set<std::string>& out) {
-    for (const StmtPtr& sp : body) {
-      const Stmt& st = *sp;
-      switch (st.kind) {
-        case Stmt::Kind::kLocal:
-        case Stmt::Kind::kAssign:
-          if (!st.target_index) out.insert(st.name);
-          break;
-        case Stmt::Kind::kNumericFor:
-          out.insert(st.name);
-          CollectAssigned(st.body, out);
-          break;
-        case Stmt::Kind::kWhile:
-          CollectAssigned(st.body, out);
-          break;
-        case Stmt::Kind::kIf:
-          CollectAssigned(st.body, out);
-          CollectAssigned(st.else_body, out);
-          break;
-        default:
-          break;
-      }
-    }
-  }
-
-  void Widen(const std::set<std::string>& names) {
-    for (CEnv& scope : env_) {
-      for (const std::string& n : names) {
-        if (auto it = scope.find(n); it != scope.end()) it->second = CVal{};
-      }
-    }
-  }
-
-  // --- expressions --------------------------------------------------------
-
-  struct EvalResult {
-    CVal val;
-    Cost cost;
-  };
-
-  EvalResult EvalC(const Expr& e) {
-    EvalResult r;
-    switch (e.kind) {
-      case Expr::Kind::kNumber:
-        r.val.num = Interval{e.number, e.number};
-        r.val.truth = true;
-        return r;
-      case Expr::Kind::kString:
-        r.val.truth = true;
-        return r;
-      case Expr::Kind::kBool:
-        r.val.truth = e.boolean;
-        return r;
-      case Expr::Kind::kNil:
-        r.val.truth = false;
-        return r;
-      case Expr::Kind::kName:
-        if (const CVal* v = FindVal(e.text)) r.val = *v;
-        return r;
-      case Expr::Kind::kUnary: {
-        EvalResult operand = EvalC(*e.lhs);
-        r.cost.Add(operand.cost);
-        switch (e.un_op) {
-          case UnOp::kNeg:
-            if (operand.val.num && operand.val.num->finite())
-              r.val.num = Interval{-operand.val.num->hi, -operand.val.num->lo};
-            break;
-          case UnOp::kNot:
-            if (operand.val.truth) r.val.truth = !*operand.val.truth;
-            break;
-          case UnOp::kLen:
-            r.val.num = operand.val.len;
-            break;
-        }
-        return r;
-      }
-      case Expr::Kind::kBinary: {
-        EvalResult a = EvalC(*e.lhs);
-        EvalResult b = EvalC(*e.rhs);
-        // and/or short-circuit; worst case evaluates both operands.
-        r.cost.Add(a.cost);
-        r.cost.Add(b.cost);
-        switch (e.bin_op) {
-          case BinOp::kAdd: r.val.num = IAdd(a.val.num, b.val.num); break;
-          case BinOp::kSub: r.val.num = ISub(a.val.num, b.val.num); break;
-          case BinOp::kMul: r.val.num = IMul(a.val.num, b.val.num); break;
-          case BinOp::kLt:
-          case BinOp::kLe:
-          case BinOp::kGt:
-          case BinOp::kGe:
-            r.val.truth = FoldCompare(e.bin_op, a.val.num, b.val.num);
-            break;
-          default:
-            break;  // div/mod/concat/eq/and/or: value statically unknown
-        }
-        if (r.val.num) r.val.truth = true;  // numbers are always truthy
-        return r;
-      }
-      case Expr::Kind::kCall:
-        return EvalCall(e);
-      case Expr::Kind::kIndex: {
-        r.cost.Add(EvalC(*e.lhs).cost);
-        r.cost.Add(EvalC(*e.rhs).cost);
-        return r;
-      }
-      case Expr::Kind::kListLiteral: {
-        for (const ExprPtr& arg : e.args) r.cost.Add(EvalC(*arg).cost);
-        const double n = static_cast<double>(e.args.size());
-        r.val.len = Interval{n, n};
-        r.val.truth = true;
-        return r;
-      }
-    }
-    return r;
-  }
-
-  static std::optional<bool> FoldCompare(BinOp op,
-                                         const std::optional<Interval>& a,
-                                         const std::optional<Interval>& b) {
-    if (!a || !b) return std::nullopt;
-    switch (op) {
-      case BinOp::kLt:
-        if (a->hi < b->lo) return true;
-        if (a->lo >= b->hi) return false;
-        break;
-      case BinOp::kLe:
-        if (a->hi <= b->lo) return true;
-        if (a->lo > b->hi) return false;
-        break;
-      case BinOp::kGt:
-        if (a->lo > b->hi) return true;
-        if (a->hi <= b->lo) return false;
-        break;
-      case BinOp::kGe:
-        if (a->lo >= b->hi) return true;
-        if (a->hi < b->lo) return false;
-        break;
-      default:
-        break;
-    }
-    return std::nullopt;
-  }
-
-  EvalResult EvalCall(const Expr& e) {
-    EvalResult r;
-    std::vector<CVal> arg_vals;
-    arg_vals.reserve(e.args.size());
-    for (const ExprPtr& arg : e.args) {
-      EvalResult ar = EvalC(*arg);
-      r.cost.Add(ar.cost);
-      arg_vals.push_back(std::move(ar.val));
-    }
-
-    const HostSignature* sig = FindHostSignature(e.text);
-    if (sig != nullptr && sig->sensor.has_value()) {
-      // Acquisition: samples = first argument when statically known, the
-      // configured per-window default otherwise.
-      double samples = static_cast<double>(options_.default_samples_per_window);
-      if (!e.args.empty()) {
-        if (arg_vals[0].num && arg_vals[0].num->finite()) {
-          samples = std::max(1.0, std::floor(arg_vals[0].num->hi));
-        } else {
-          out_.push_back(Diagnostic{
-              "SA405", Severity::kWarning, e.line,
-              "sample count of '" + e.text +
-                  "' is not statically derivable; cost estimate assumes " +
-                  std::to_string(options_.default_samples_per_window)});
-        }
-      }
-      const double mj = samples * sensors::AcquisitionEnergyMj(*sig->sensor);
-      r.cost.samples += samples;
-      r.cost.energy += mj;
-      if (mj > r.cost.heavy_energy) {
-        r.cost.heavy_energy = mj;
-        r.cost.heavy_line = e.line;
-      }
-      // Denied or failed acquisitions legitimately return an empty list.
-      r.val.len = Interval{0, samples};
-      r.val.truth = true;
-      return r;
-    }
-    if (sig != nullptr) {
-      if (sig->name == "len" && arg_vals.size() == 1 && arg_vals[0].len) {
-        r.val.num = arg_vals[0].len;
-        r.val.truth = true;
-      } else if (sig->name == "push" && !e.args.empty() &&
-                 e.args[0]->kind == Expr::Kind::kName) {
-        // push(list, v) appends in place: the bound list grows by one.
-        if (CVal* lv = FindVal(e.args[0]->text); lv != nullptr && lv->len) {
-          lv->len = Interval{lv->len->lo + 1, lv->len->hi + 1};
-          r.val.num = lv->len;
-        }
-      }
-      return r;
-    }
-    if (auto it = fns_.find(e.text); it != fns_.end()) {
-      r.cost.Add(CostOfFunction(e.text));
-      return r;
-    }
-    return r;  // unknown function: SA301 already reported by the scope pass
-  }
-
-  Cost CostOfFunction(const std::string& name) {
-    if (auto memo = fn_memo_.find(name); memo != fn_memo_.end())
-      return memo->second;
-    if (fn_stack_.count(name) != 0) {
-      if (recursion_reported_.insert(name).second) {
-        Emit("SA402", fns_[name].back()->line,
-             "function '" + name +
-                 "' is recursive; its cost cannot be bounded");
-      }
-      Cost unbounded;
-      unbounded.bounded = false;
-      return unbounded;
-    }
-    fn_stack_.insert(name);
-    // Function bodies run with unknown parameters and globals.
-    std::vector<CEnv> saved = std::move(env_);
-    Cost c;
-    for (const Stmt* def : fns_[name]) {
-      env_.clear();
-      env_.emplace_back();
-      env_.emplace_back();
-      c = Cost::Max(c, CostOfBlock(def->body));
-    }
-    env_ = std::move(saved);
-    fn_stack_.erase(name);
-    fn_memo_[name] = c;
-    return c;
-  }
-
-  // --- statements ---------------------------------------------------------
-
-  Cost CostOfBlock(const std::vector<StmtPtr>& body) {
-    Cost c;
-    for (const StmtPtr& st : body) c.Add(CostOfStmt(*st));
-    return c;
-  }
-
-  Cost CostOfStmt(const Stmt& st) {
-    Cost c;
-    switch (st.kind) {
-      case Stmt::Kind::kLocal: {
-        EvalResult v = EvalC(*st.expr);
-        c.Add(v.cost);
-        env_.back()[st.name] = std::move(v.val);
-        return c;
-      }
-      case Stmt::Kind::kAssign: {
-        EvalResult v = EvalC(*st.expr);
-        c.Add(v.cost);
-        if (st.target_index) {
-          c.Add(EvalC(*st.target_index->lhs).cost);
-          c.Add(EvalC(*st.target_index->rhs).cost);
-          // list[n+1] = v appends: worst case the list grows by one.
-          if (st.target_index->lhs->kind == Expr::Kind::kName) {
-            if (CVal* lv = FindVal(st.target_index->lhs->text);
-                lv != nullptr && lv->len) {
-              lv->len->hi += 1;
-            }
-          }
-          return c;
-        }
-        AssignVal(st.name, std::move(v.val));
-        return c;
-      }
-      case Stmt::Kind::kExpr:
-        c.Add(EvalC(*st.expr).cost);
-        return c;
-      case Stmt::Kind::kIf: {
-        EvalResult cond = EvalC(*st.expr);
-        c.Add(cond.cost);
-        const std::vector<CEnv> snapshot = env_;
-        env_.emplace_back();
-        Cost then_c = CostOfBlock(st.body);
-        env_.pop_back();
-        std::vector<CEnv> after_then = std::move(env_);
-        env_ = snapshot;
-        env_.emplace_back();
-        Cost else_c = CostOfBlock(st.else_body);
-        env_.pop_back();
-        if (cond.val.truth.has_value()) {
-          // Statically decided branch: only that arm can run.
-          if (*cond.val.truth) {
-            env_ = std::move(after_then);
-            c.Add(then_c);
-          } else {
-            c.Add(else_c);
-          }
-        } else {
-          JoinEnv(env_, after_then);
-          c.Add(Cost::Max(then_c, else_c));
-        }
-        return c;
-      }
-      case Stmt::Kind::kWhile: {
-        EvalResult cond = EvalC(*st.expr);
-        std::optional<double> bound = WhileBound(st, cond.val);
-        // The flow-sensitive interval pass can only tighten (or supply) a
-        // bound, never loosen one.
-        if (const std::optional<double> ov = Override(st.line, 0)) {
-          bound = bound ? std::min(*bound, *ov) : *ov;
-        }
-        std::set<std::string> assigned;
-        CollectAssigned(st.body, assigned);
-        Widen(assigned);
-        env_.emplace_back();
-        Cost body_c = CostOfBlock(st.body);
-        env_.pop_back();
-        if (!bound.has_value()) {
-          Emit("SA401", st.line,
-               "cannot derive a static bound for this while loop");
-          c.bounded = false;
-          c.Add(body_c);  // keep nested diagnostics / sensors counted once
-          c.Add(cond.cost);
-          return c;
-        }
-        const double n = *bound;
-        RecordBound(st.line, 0, n);
-        body_c.Scale(n);
-        Cost cond_c = cond.cost;
-        cond_c.Scale(n + 1);  // the condition runs once more than the body
-        c.Add(body_c);
-        c.Add(cond_c);
-        return c;
-      }
-      case Stmt::Kind::kNumericFor: {
-        EvalResult start = EvalC(*st.for_start);
-        EvalResult stop = EvalC(*st.for_stop);
-        c.Add(start.cost);
-        c.Add(stop.cost);
-        std::optional<Interval> step = Interval{1, 1};
-        if (st.for_step) {
-          EvalResult sv = EvalC(*st.for_step);
-          c.Add(sv.cost);
-          step = sv.val.num;
-        }
-        std::optional<double> bound;
-        std::optional<Interval> var_range;
-        if (start.val.num && stop.val.num && step && step->finite() &&
-            start.val.num->finite() && stop.val.num->finite()) {
-          const Interval& s0 = *start.val.num;
-          const Interval& s1 = *stop.val.num;
-          if (step->lo > 0) {
-            bound = std::max(0.0, std::floor((s1.hi - s0.lo) / step->lo) + 1);
-          } else if (step->hi < 0) {
-            bound = std::max(0.0, std::floor((s0.hi - s1.lo) / -step->hi) + 1);
-          }
-          var_range = IHull(s0, s1);
-        }
-        if (const std::optional<double> ov = Override(st.line, 1)) {
-          bound = bound ? std::min(*bound, *ov) : *ov;
-        }
-        std::set<std::string> assigned;
-        CollectAssigned(st.body, assigned);
-        Widen(assigned);
-        env_.emplace_back();
-        CVal loop_var;
-        loop_var.num = var_range;
-        loop_var.truth = true;
-        env_.back()[st.name] = loop_var;
-        Cost body_c = CostOfBlock(st.body);
-        env_.pop_back();
-        if (!bound.has_value()) {
-          Emit("SA401", st.line,
-               "cannot derive a static bound for this for loop "
-               "(bounds or step are not statically known)");
-          c.bounded = false;
-          c.Add(body_c);
-          return c;
-        }
-        RecordBound(st.line, 1, *bound);
-        body_c.Scale(*bound);
-        c.Add(body_c);
-        return c;
-      }
-      case Stmt::Kind::kFunction:
-        return c;  // body is costed at call sites
-      case Stmt::Kind::kReturn:
-        if (st.expr) c.Add(EvalC(*st.expr).cost);
-        return c;
-      case Stmt::Kind::kBreak:
-        return c;
-    }
-    return c;
-  }
-
-  // --- while-loop bound derivation ----------------------------------------
-
-  static bool AlwaysExits(const std::vector<StmtPtr>& body) {
-    for (const StmtPtr& sp : body) {
-      const Stmt& st = *sp;
-      if (st.kind == Stmt::Kind::kBreak || st.kind == Stmt::Kind::kReturn)
-        return true;
-      if (st.kind == Stmt::Kind::kIf && AlwaysExits(st.body) &&
-          !st.else_body.empty() && AlwaysExits(st.else_body))
-        return true;
-    }
-    return false;
-  }
-
-  // Counts assignments to `name` in a block (any nesting) and remembers the
-  // last one seen at the top level of the block.
-  static void FindAssignments(const std::vector<StmtPtr>& body,
-                              const std::string& name, bool top_level,
-                              int& count, const Stmt** top_level_assign) {
-    for (const StmtPtr& sp : body) {
-      const Stmt& st = *sp;
-      switch (st.kind) {
-        case Stmt::Kind::kLocal:
-        case Stmt::Kind::kAssign:
-          if (!st.target_index && st.name == name) {
-            ++count;
-            if (top_level && st.kind == Stmt::Kind::kAssign)
-              *top_level_assign = &st;
-          }
-          break;
-        case Stmt::Kind::kNumericFor:
-          if (st.name == name) ++count;
-          FindAssignments(st.body, name, false, count, top_level_assign);
-          break;
-        case Stmt::Kind::kWhile:
-          FindAssignments(st.body, name, false, count, top_level_assign);
-          break;
-        case Stmt::Kind::kIf:
-          FindAssignments(st.body, name, false, count, top_level_assign);
-          FindAssignments(st.else_body, name, false, count, top_level_assign);
-          break;
-        default:
-          break;
-      }
-    }
-  }
-
-  // `v = v + k` / `v = k + v` / `v = v - k` with constant k. Returns the
-  // signed per-iteration delta interval.
-  std::optional<Interval> StepOf(const Stmt& assign, const std::string& v) {
-    if (assign.expr == nullptr ||
-        assign.expr->kind != Expr::Kind::kBinary)
-      return std::nullopt;
-    const Expr& e = *assign.expr;
-    auto is_v = [&](const ExprPtr& p) {
-      return p->kind == Expr::Kind::kName && p->text == v;
-    };
-    auto fold = [&](const ExprPtr& p) -> std::optional<Interval> {
-      // Evaluated against the widened env: loop-variant names are unknown,
-      // so a non-invariant step folds to nullopt and the pattern fails.
-      EvalResult r = EvalC(*p);
-      if (r.val.num && r.val.num->finite()) return r.val.num;
-      return std::nullopt;
-    };
-    if (e.bin_op == BinOp::kAdd) {
-      if (is_v(e.lhs)) return fold(e.rhs);
-      if (is_v(e.rhs)) return fold(e.lhs);
-    } else if (e.bin_op == BinOp::kSub && is_v(e.lhs)) {
-      std::optional<Interval> k = fold(e.rhs);
-      if (k) return Interval{-k->hi, -k->lo};
-    }
-    return std::nullopt;
-  }
-
-  // Static iteration bound for `while cond do body end`, or nullopt.
-  std::optional<double> WhileBound(const Stmt& st, const CVal& cond_val) {
-    if (cond_val.truth.has_value() && !*cond_val.truth) return 0.0;
-    if (AlwaysExits(st.body)) return 1.0;
-
-    // Induction pattern: cond compares a variable against a loop-invariant
-    // limit and the body moves the variable toward it by a constant step.
-    if (st.expr == nullptr || st.expr->kind != Expr::Kind::kBinary)
-      return std::nullopt;
-    const Expr& cond = *st.expr;
-    const Expr* var_side = nullptr;
-    const Expr* limit_side = nullptr;
-    bool var_must_grow = false;  // variable counts up toward the limit
-    switch (cond.bin_op) {
-      case BinOp::kLt:
-      case BinOp::kLe:
-        var_side = cond.lhs.get();
-        limit_side = cond.rhs.get();
-        var_must_grow = true;
-        break;
-      case BinOp::kGt:
-      case BinOp::kGe:
-        var_side = cond.lhs.get();
-        limit_side = cond.rhs.get();
-        var_must_grow = false;
-        break;
-      default:
-        return std::nullopt;
-    }
-    if (var_side->kind != Expr::Kind::kName) {
-      // Flipped form: `limit > v` counts up, `limit < v` counts down.
-      if (limit_side->kind != Expr::Kind::kName) return std::nullopt;
-      std::swap(var_side, limit_side);
-      var_must_grow = !var_must_grow;
-    }
-    if (var_side->kind != Expr::Kind::kName) return std::nullopt;
-    const std::string& v = var_side->text;
-
-    // Entry value of the variable, before any widening.
-    const CVal* entry = FindVal(v);
-    if (entry == nullptr || !entry->num || !entry->num->finite())
-      return std::nullopt;
-    const Interval entry_range = *entry->num;
-
-    // The limit and step must be loop-invariant: fold them in a copy of the
-    // environment with every body-assigned name forgotten.
-    std::set<std::string> assigned;
-    CollectAssigned(st.body, assigned);
-    const std::vector<CEnv> saved = env_;
-    Widen(assigned);
-    std::optional<Interval> limit;
-    {
-      EvalResult lr = EvalC(*limit_side);
-      if (lr.val.num && lr.val.num->finite()) limit = lr.val.num;
-    }
-    std::optional<Interval> step;
-    int assign_count = 0;
-    const Stmt* increment = nullptr;
-    FindAssignments(st.body, v, /*top_level=*/true, assign_count, &increment);
-    if (assign_count == 1 && increment != nullptr)
-      step = StepOf(*increment, v);
-    env_ = saved;
-
-    if (!limit || !step) return std::nullopt;
-    if (var_must_grow) {
-      if (step->lo <= 0) return std::nullopt;  // may never reach the limit
-      return std::max(0.0, (limit->hi - entry_range.lo) / step->lo + 2);
-    }
-    if (step->hi >= 0) return std::nullopt;
-    return std::max(0.0, (entry_range.hi - limit->lo) / -step->hi + 2);
-  }
-
-  const Program& program_;
-  const AnalyzerOptions& options_;
-  std::vector<Diagnostic>& out_;
-  const std::map<LoopKey, double>& trip_overrides_;
-
-  // IR-derived bound for a loop, when the interval pass proved one.
-  std::optional<double> Override(int line, int kind) const {
-    const auto it = trip_overrides_.find({line, kind});
-    if (it == trip_overrides_.end()) return std::nullopt;
-    return it->second;
-  }
-
-  // Loops sharing a (line, kind) key share the largest of their bounds.
-  void RecordBound(int line, int kind, double trips) {
-    double& slot = loop_bounds_.try_emplace({line, kind}, trips).first->second;
-    slot = std::max(slot, trips);
-  }
-
-  std::vector<CEnv> env_;
-  std::map<std::string, std::vector<const Stmt*>> fns_;
-  std::map<LoopKey, double> loop_bounds_;
-  std::map<std::string, Cost> fn_memo_;
-  std::set<std::string> fn_stack_;
-  std::set<std::string> recursion_reported_;
 };
 
 int FirstStatementLine(const Program& program) {
@@ -1306,46 +535,40 @@ AnalysisReport Analyze(const Program& program, const AnalyzerOptions& options) {
   ScopeTypeChecker scopes(program, options, report.diagnostics, required);
   scopes.Run();
 
-  // Flow-sensitive layer: lower to the dataflow IR and collect SA5xx
-  // diagnostics, interval trip bounds, and the information-flow manifest
-  // from an optimized copy. Steps are bounded on the unoptimized module —
-  // the one a phone executes.
-  const ir::Module lowered = ir::Lower(program);
-  ir::Module optimized = lowered;
+  // Flow-sensitive layer, on the lowered IR: definite assignment (SA102,
+  // SA5xx), the information-flow manifest, and the worst-case cost of one
+  // run of the module a phone executes (SA401/SA402/SA405).
   IrAnalysisOptions ir_opts;
   ir_opts.default_samples_per_window = options.default_samples_per_window;
-  IrAnalysis ir_facts = AnalyzeModule(optimized, ir_opts);
+  IrAnalysis ir_facts = AnalyzeModule(ir::Lower(program), ir_opts);
   report.diagnostics.insert(report.diagnostics.end(),
                             ir_facts.diagnostics.begin(),
                             ir_facts.diagnostics.end());
   report.flow = std::move(ir_facts.flow);
 
-  CostAnalyzer coster(program, options, report.diagnostics,
-                      ir_facts.trip_bounds);
-  const Cost cost = coster.Run();
-
+  const CostBound& cost = ir_facts.cost;
   report.manifest.required_sensors.assign(required.begin(), required.end());
   report.manifest.cost_bounded = cost.bounded;
   if (cost.bounded) {
-    const StepBound steps = BoundSteps(lowered, coster.loop_bounds());
-    report.manifest.worst_case_steps = steps.steps;
+    report.manifest.worst_case_steps = cost.steps;
     report.manifest.worst_case_acquisitions = cost.samples;
-    report.manifest.worst_case_energy_mj = cost.energy;
+    report.manifest.worst_case_energy_mj = cost.energy_mj;
     if (options.energy_budget_mj > 0 &&
-        cost.energy > options.energy_budget_mj) {
+        cost.energy_mj > options.energy_budget_mj) {
       report.diagnostics.push_back(Diagnostic{
           "SA403", Severity::kError,
-          cost.heavy_line > 0 ? cost.heavy_line : FirstStatementLine(program),
-          "worst-case energy estimate " + std::to_string(cost.energy) +
+          cost.heavy_acquisition_line > 0 ? cost.heavy_acquisition_line
+                                          : FirstStatementLine(program),
+          "worst-case energy estimate " + std::to_string(cost.energy_mj) +
               " mJ/run exceeds the budget of " +
               std::to_string(options.energy_budget_mj) + " mJ/run"});
     }
-    if (options.max_steps > 0 && steps.steps > options.max_steps) {
+    if (options.max_steps > 0 && cost.steps > options.max_steps) {
       report.diagnostics.push_back(Diagnostic{
           "SA404", Severity::kError,
-          steps.heavy_loop_line > 0 ? steps.heavy_loop_line
-                                    : FirstStatementLine(program),
-          "worst-case step estimate " + std::to_string(steps.steps) +
+          cost.heavy_loop_line > 0 ? cost.heavy_loop_line
+                                   : FirstStatementLine(program),
+          "worst-case step estimate " + std::to_string(cost.steps) +
               " exceeds the interpreter budget of " +
               std::to_string(options.max_steps)});
     }

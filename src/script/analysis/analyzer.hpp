@@ -1,24 +1,25 @@
 // SenseScript static analyzer.
 //
-// Walks a parsed Program (no execution) and produces the diagnostics
-// catalogued in diagnostics.hpp plus a ScriptManifest describing what the
-// script needs from a device. Four passes share one walk where possible:
+// Produces the diagnostics catalogued in diagnostics.hpp plus a
+// ScriptManifest describing what the script needs from a device, without
+// executing it. One walk over the parsed Program covers
 //
-//   1. scope & flow   — undefined names, use-before-assignment, shadowing,
-//                       dead code after return/break, break placement,
-//                       host-function shadowing, call-before-definition
-//   2. types          — abstract interpretation over the nil/bool/number/
-//                       string/list lattice; operator and host-signature
-//                       argument mismatches
-//   3. capability     — acquisition calls resolved against the host API
-//                       table; required-sensor manifest; unknown functions;
-//                       sensors absent from the target device
-//   4. cost           — static loop bounds via interval folding, worst-case
-//                       acquisition/energy estimates priced with
-//                       sensors::AcquisitionEnergyMj, and a worst-case step
-//                       count over the lowered IR the phone executes
-//                       (BoundSteps); rejects unboundable loops, recursion,
-//                       and over-budget scripts
+//   scope          — names no visible binding can satisfy, shadowing, dead
+//                    code after return/break, break placement, host-
+//                    function shadowing, call-before-definition
+//   types          — abstract interpretation over the nil/bool/number/
+//                    string/list lattice; operator and host-signature
+//                    argument mismatches
+//   capability     — acquisition calls resolved against the host API
+//                    table; required-sensor manifest; unknown functions;
+//                    sensors absent from the target device
+//
+// and every flow-sensitive fact comes from the lowered IR (passes.hpp):
+// definite assignment (SA102, SA501), dead stores and constant conditions
+// (SA502-SA504), sensor taint (SA505), and the one cost pass — loop trip
+// bounds from intervals and list lengths, and the worst-case steps,
+// acquisitions and energy of the module the phone executes, which reject
+// unboundable loops, recursion and over-budget scripts (SA401-SA405).
 //
 // The analyzer is deliberately conservative in both directions: it only
 // *errors* on programs that are guaranteed wrong if the flagged code runs
@@ -39,7 +40,8 @@ namespace sor::script::analysis {
 
 struct AnalyzerOptions {
   // Samples assumed for an acquisition call whose sample-count argument is
-  // absent; mirrors TaskInstance's samples_per_window fallback.
+  // absent (mirroring TaskInstance's samples_per_window fallback) or not
+  // statically bounded (SA405).
   int default_samples_per_window = 5;
   // Instruction budget the worst-case step bound is checked against
   // (SA404): IR instructions retired per run, the unit and default of

@@ -5,8 +5,8 @@
 // examples lives in docs/sensescript.md; the one-line summary:
 //
 //   SA001 error    script does not lex/parse
-//   SA101 error    undefined name (never assigned anywhere)
-//   SA102 warning  use of a possibly-unassigned variable
+//   SA101 error    undefined name (no binding visible at the use)
+//   SA102 warning  use some path reaches unassigned (flow-sensitive, IR)
 //   SA103 warning  declaration shadows an outer variable
 //   SA104 warning  unreachable statement (after return/break)
 //   SA105 error    break outside any loop

@@ -4,12 +4,16 @@
 #include <cmath>
 #include <cstring>
 #include <limits>
+#include <map>
 #include <optional>
 #include <set>
+#include <string>
+#include <vector>
 
 #include "script/analysis/dataflow.hpp"
 #include "script/analysis/host_api.hpp"
 #include "script/ast.hpp"
+#include "sensors/energy.hpp"
 
 namespace sor::script::analysis {
 namespace {
@@ -522,19 +526,28 @@ void DefiniteAssignment(ir::Module& m, std::size_t fn_idx,
     DefState s = df.in[bi];
     std::vector<Inst> kept;
     kept.reserve(fn.blocks[bi].insts.size());
+    // A reachable use no assignment reaches (SA501), or only some path
+    // does (SA102).
+    const auto Classify = [&](std::size_t slot, const std::string& name,
+                              int line) {
+      if (!s.may[slot]) {
+        report->undef_uses.push_back({line, name});
+      } else if (!s.must[slot]) {
+        report->maybe_uses.push_back({line, name});
+      }
+    };
     for (const Inst& inst : fn.blocks[bi].insts) {
       if (inst.op == Op::kCheckDef) {
         if (s.must[inst.a]) continue;  // provably assigned: elide
-        if (report != nullptr && !s.may[inst.a]) {
-          report->undef_uses.push_back({inst.line, m.names[inst.imm]});
-        }
-      } else if (inst.op == Op::kLoadGlobal && report != nullptr) {
-        // Only when the global IS stored somewhere: a never-stored name is
-        // the syntactic pass's SA101, not a flow fact.
-        if (!s.may[fn.num_named + inst.a] && info.global_stored[inst.a]) {
-          report->undef_uses.push_back(
-              {inst.line, m.names[m.global_names[inst.a]]});
-        }
+        if (report != nullptr) Classify(inst.a, m.names[inst.imm], inst.line);
+      } else if (inst.op == Op::kLoadGlobal && report != nullptr &&
+                 fn_idx == 0 && info.global_stored[inst.a]) {
+        // A never-stored name is the scope walk's SA101, not a flow fact.
+        // Function bodies see every stored global as maybe-assigned (a
+        // function may run at any point of main), so only main's loads
+        // are classified.
+        Classify(fn.num_named + inst.a, m.names[m.global_names[inst.a]],
+                 inst.line);
       }
       domain.Apply(fn, inst, s);
       kept.push_back(inst);
@@ -717,16 +730,28 @@ Iv IvNeg(const Iv& a) {
   return MakeIv(-a.hi, -a.lo);
 }
 
+// The length a list-length fact allows: lists are never shorter than 0.
+Iv LenOf(const Iv& len) {
+  if (len.bot) return MakeIv(0.0, kInf);
+  return MakeIv(std::max(0.0, len.lo), len.hi);
+}
+
 struct IvState {
   bool reached = false;
   std::vector<Iv> regs;
   std::vector<Iv> globals;
+  // Length of the list each reg / global holds; Full when it may hold
+  // anything but a list of known length. Only list literals and
+  // acquisitions create a length, and lists never shrink.
+  std::vector<Iv> reg_lens;
+  std::vector<Iv> global_lens;
 };
 
 struct IvDomain {
   using State = IvState;
   const ir::Module& m;
   const ModuleInfo& info;
+  int default_samples;
   // Widening: after this many changing joins into a block, changing bounds
   // jump straight to infinity so loops converge.
   static constexpr int kWidenAfter = 8;
@@ -737,6 +762,8 @@ struct IvDomain {
     s.reached = true;
     s.regs.assign(fn.num_regs, Iv::Full());
     s.globals.assign(m.global_names.size(), Iv::Full());
+    s.reg_lens = s.regs;
+    s.global_lens = s.globals;
     return s;
   }
   State Bottom(const ir::Function&) const { return {}; }
@@ -770,12 +797,86 @@ struct IvDomain {
     const bool widen =
         join_counts[static_cast<std::size_t>(target_block)] > kWidenAfter;
     bool changed = false;
-    for (std::size_t i = 0; i < into.regs.size(); ++i)
-      changed |= JoinIv(into.regs[i], from.regs[i], widen);
-    for (std::size_t i = 0; i < into.globals.size(); ++i)
-      changed |= JoinIv(into.globals[i], from.globals[i], widen);
+    const auto join_all = [&](std::vector<Iv>& a, const std::vector<Iv>& b) {
+      for (std::size_t i = 0; i < a.size(); ++i)
+        changed |= JoinIv(a[i], b[i], widen);
+    };
+    join_all(into.regs, from.regs);
+    join_all(into.globals, from.globals);
+    join_all(into.reg_lens, from.reg_lens);
+    join_all(into.global_lens, from.global_lens);
     if (changed) ++join_counts[static_cast<std::size_t>(target_block)];
     return changed;
+  }
+
+  // Samples an acquisition call takes, as TaskInstance counts them: the
+  // first argument, floored and at least 1, or the per-window default when
+  // there is none. nullopt: the count is not a finite interval (SA405).
+  std::optional<double> Samples(const Inst& call, const State& s) const {
+    if (call.b == 0) return default_samples;
+    const Iv& n = s.regs[call.a];
+    if (n.bot || !std::isfinite(n.lo) || !std::isfinite(n.hi))
+      return std::nullopt;
+    return std::max(1.0, std::floor(n.hi));
+  }
+
+  // An append grows one list by one element, and that list may alias any
+  // list the state tracks: every length's upper bound grows by `n`.
+  static void Grow(State& s, double n) {
+    for (std::vector<Iv>* lens : {&s.reg_lens, &s.global_lens}) {
+      for (Iv& len : *lens) {
+        if (!len.bot) len.hi += n;
+      }
+    }
+  }
+
+  // A numeric-for body is entered only when the loop test passed, so the
+  // counter has not passed the stop bound in the direction of the step.
+  void Enter(const ir::Function& fn, int block, State& s) const {
+    if (!s.reached) return;
+    for (const ir::LoopInfo& loop : fn.loops) {
+      if (loop.kind != ir::LoopInfo::Kind::kNumericFor ||
+          loop.body_block != block)
+        continue;
+      Iv& i = s.regs[loop.counter];
+      const Iv& stop = s.regs[loop.stop];
+      const Iv& step = s.regs[loop.step];
+      if (i.bot || stop.bot || step.bot) continue;
+      if (step.lo > 0.0) i.hi = std::min(i.hi, stop.hi);
+      if (step.hi < 0.0) i.lo = std::max(i.lo, stop.lo);
+    }
+  }
+
+  void Call(const Inst& inst, State& s) const {
+    const HostSignature* sig = FindHostSignature(m.names[inst.imm]);
+    Iv num = Iv::Full();
+    Iv len = Iv::Full();
+    if (sig != nullptr && sig->sensor.has_value()) {
+      // Denied or failed acquisitions return an empty list.
+      len = MakeIv(0.0, Samples(inst, s).value_or(default_samples));
+    } else if (sig != nullptr && sig->name == "len" && inst.b == 1) {
+      num = LenOf(s.reg_lens[inst.a]);
+    } else if (sig != nullptr && sig->name == "push") {
+      Grow(s, 1.0);
+    } else if (sig == nullptr) {
+      // A script function (or an embedder's host function) may append to
+      // any list, and a script function may store the globals it writes.
+      Grow(s, kInf);
+      const auto it = info.candidates.find(inst.imm);
+      if (it != info.candidates.end()) {
+        for (const std::uint32_t callee : it->second) {
+          for (std::size_t g = 0; g < s.globals.size(); ++g) {
+            if (!info.global_writes[callee][g]) continue;
+            s.globals[g] = Iv::Full();
+            s.global_lens[g] = Iv::Full();
+          }
+        }
+      }
+    }
+    if (inst.dst != kNoReg) {
+      s.regs[inst.dst] = num;
+      s.reg_lens[inst.dst] = len;
+    }
   }
 
   void Apply(const Inst& inst, State& s) const {
@@ -784,16 +885,20 @@ struct IvDomain {
         const Value& v = m.consts[inst.imm];
         s.regs[inst.dst] =
             v.is_number() ? Iv::Point(v.as_number()) : Iv::Full();
+        s.reg_lens[inst.dst] = Iv::Full();
         break;
       }
       case Op::kMove:
         s.regs[inst.dst] = s.regs[inst.a];
+        s.reg_lens[inst.dst] = s.reg_lens[inst.a];
         break;
       case Op::kLoadGlobal:
         s.regs[inst.dst] = s.globals[inst.a];
+        s.reg_lens[inst.dst] = s.global_lens[inst.a];
         break;
       case Op::kStoreGlobal:
         s.globals[inst.a] = s.regs[inst.b];
+        s.global_lens[inst.a] = s.reg_lens[inst.b];
         break;
       case Op::kUnOp:
         switch (static_cast<UnOp>(inst.sub)) {
@@ -801,12 +906,13 @@ struct IvDomain {
             s.regs[inst.dst] = IvNeg(s.regs[inst.a]);
             break;
           case UnOp::kLen:
-            s.regs[inst.dst] = MakeIv(0.0, kInf);
+            s.regs[inst.dst] = LenOf(s.reg_lens[inst.a]);
             break;
           default:
             s.regs[inst.dst] = Iv::Full();
             break;
         }
+        s.reg_lens[inst.dst] = Iv::Full();
         break;
       case Op::kBinOp:
         switch (static_cast<BinOp>(inst.sub)) {
@@ -823,35 +929,39 @@ struct IvDomain {
             s.regs[inst.dst] = Iv::Full();
             break;
         }
+        s.reg_lens[inst.dst] = Iv::Full();
+        break;
+      case Op::kListNew:
+        s.regs[inst.dst] = Iv::Full();
+        s.reg_lens[inst.dst] = Iv::Point(inst.b);
+        break;
+      case Op::kIndexSet:
+        Grow(s, 1.0);  // l[#l + 1] = v appends
         break;
       case Op::kForStep:
         s.regs[inst.a] = IvAdd(s.regs[inst.a], s.regs[inst.c]);
         break;
-      case Op::kCall: {
-        if (inst.dst != kNoReg) s.regs[inst.dst] = Iv::Full();
-        const auto it = info.candidates.find(inst.imm);
-        if (it != info.candidates.end()) {
-          for (const std::uint32_t callee : it->second) {
-            for (std::size_t g = 0; g < s.globals.size(); ++g) {
-              if (info.global_writes[callee][g]) s.globals[g] = Iv::Full();
-            }
-          }
+      case Op::kCall:
+        Call(inst, s);
+        break;
+      case Op::kClearSlots:
+        for (Reg r = inst.a; r < inst.a + inst.b; ++r) {
+          s.regs[r] = Iv::Full();
+          s.reg_lens[r] = Iv::Full();
         }
         break;
-      }
-      case Op::kClearSlots:
-        for (Reg r = inst.a; r < inst.a + inst.b; ++r)
-          s.regs[r] = Iv::Full();
-        break;
       default:
-        if (HasDst(inst.op) && inst.dst != kNoReg)
+        if (HasDst(inst.op) && inst.dst != kNoReg) {
           s.regs[inst.dst] = Iv::Full();
+          s.reg_lens[inst.dst] = Iv::Full();
+        }
         break;
     }
   }
 
   void Transfer(const ir::Function& fn, int block, State& s) const {
     if (!s.reached) return;
+    Enter(fn, block, s);
     for (const Inst& inst :
          fn.blocks[static_cast<std::size_t>(block)].insts)
       Apply(inst, s);
@@ -1100,87 +1210,109 @@ std::optional<double> WhileTripBound(const ir::Function& fn,
   return std::nullopt;
 }
 
-void CollectTripBounds(const ir::Module& m, const ModuleInfo& info,
-                       std::map<LoopKey, double>& bounds) {
-  for (const ir::Function& fn : m.functions) {
-    if (fn.blocks.empty()) continue;
-    IvDomain domain{m, info, {}};
-    const DataflowResult<IvDomain> df =
-        Solve(fn, domain, Direction::kForward);
-    const std::vector<std::uint8_t> reach = ReachableBlocks(fn);
+// Numeric-for trip bound from the start/stop/step intervals, which the
+// lowering evaluates once, before the loop.
+std::optional<double> ForTripBound(const ir::Function& fn,
+                                   const IvDomain& domain,
+                                   const DataflowResult<IvDomain>& df,
+                                   const ir::LoopInfo& loop) {
+  const IvState pre = StateAtBlockExit(fn, domain, df, loop.prehead_block);
+  if (!pre.reached) return 0.0;
+  const Iv start = pre.regs[loop.counter];
+  const Iv stop = pre.regs[loop.stop];
+  const Iv step = pre.regs[loop.step];
+  if (start.bot || stop.bot || step.bot) return std::nullopt;
+  double trips = -1.0;
+  if (step.lo > 0.0 && std::isfinite(stop.hi) && std::isfinite(start.lo) &&
+      std::isfinite(step.lo)) {
+    trips = std::floor((stop.hi - start.lo) / step.lo) + 1.0;
+  } else if (step.hi < 0.0 && std::isfinite(start.hi) &&
+             std::isfinite(stop.lo) && std::isfinite(step.hi)) {
+    trips = std::floor((start.hi - stop.lo) / -step.hi) + 1.0;
+  } else {
+    return std::nullopt;
+  }
+  if (std::isnan(trips)) return std::nullopt;
+  return std::max(0.0, trips);
+}
 
-    const auto Record = [&bounds](int line, int kind, double trips) {
-      const LoopKey key{line, kind};
-      const auto it = bounds.find(key);
-      if (it == bounds.end()) {
-        bounds[key] = trips;
-      } else {
-        it->second = std::max(it->second, trips);
-      }
-    };
+// Upper bound on the body executions of a loop whose head is reachable.
+std::optional<double> TripBound(const ir::Function& fn, const ModuleInfo& info,
+                                const IvDomain& domain,
+                                const DataflowResult<IvDomain>& df,
+                                const std::vector<std::uint8_t>& reach,
+                                const ir::LoopInfo& loop) {
+  if (!reach[static_cast<std::size_t>(loop.body_block)]) return 0.0;
+  const std::optional<double> trips =
+      loop.kind == ir::LoopInfo::Kind::kWhile
+          ? WhileTripBound(fn, info, domain, df, loop)
+          : ForTripBound(fn, domain, df, loop);
+  // A body that can no longer reach the head (every path breaks or
+  // returns, once constant branches are folded) runs at most once.
+  if (BlocksReachableAvoiding(fn, loop.body_block, loop.exit_block, -1)
+          .count(loop.head_block) == 0)
+    return std::min(trips.value_or(1.0), 1.0);
+  return trips;
+}
 
-    for (const ir::LoopInfo& loop : fn.loops) {
-      const int kind = loop.kind == ir::LoopInfo::Kind::kWhile ? 0 : 1;
-      if (loop.head_block < 0 ||
-          !reach[static_cast<std::size_t>(loop.head_block)] ||
-          (loop.body_block >= 0 &&
-           !reach[static_cast<std::size_t>(loop.body_block)])) {
-        Record(loop.line, kind, 0.0);
-        continue;
-      }
-      if (loop.kind == ir::LoopInfo::Kind::kNumericFor) {
-        const IvState pre =
-            StateAtBlockExit(fn, domain, df, loop.prehead_block);
-        if (!pre.reached) {
-          Record(loop.line, kind, 0.0);
-          continue;
-        }
-        const Iv start = pre.regs[loop.counter];
-        const Iv stop = pre.regs[loop.stop];
-        const Iv step = pre.regs[loop.step];
-        if (start.bot || stop.bot || step.bot) continue;
-        double trips = -1.0;
-        if (step.lo > 0.0 && std::isfinite(stop.hi) &&
-            std::isfinite(start.lo) && std::isfinite(step.lo)) {
-          trips = std::floor((stop.hi - start.lo) / step.lo) + 1.0;
-        } else if (step.hi < 0.0 && std::isfinite(start.hi) &&
-                   std::isfinite(stop.lo) && std::isfinite(step.hi)) {
-          trips = std::floor((start.hi - stop.lo) / -step.hi) + 1.0;
-        } else {
-          continue;
-        }
-        if (std::isnan(trips)) continue;
-        Record(loop.line, kind, std::max(0.0, trips));
-      } else {
-        const std::optional<double> trips =
-            WhileTripBound(fn, info, domain, df, loop);
-        if (trips) Record(loop.line, kind, *trips);
-      }
-    }
+// --- worst-case cost --------------------------------------------------------
+
+// Adds `part`, run `times` times, to `total`.
+void AddScaled(CostBound& total, const CostBound& part, double times) {
+  total.bounded = total.bounded && part.bounded;
+  total.steps += part.steps * times;
+  total.samples += part.samples * times;
+  total.energy_mj += part.energy_mj * times;
+  if (part.heavy_acquisition_mj * times > total.heavy_acquisition_mj) {
+    total.heavy_acquisition_mj = part.heavy_acquisition_mj * times;
+    total.heavy_acquisition_line = part.heavy_acquisition_line;
   }
 }
 
-// --- step bound -------------------------------------------------------------
-
-class StepCounter {
- public:
-  StepCounter(const ir::Module& m, const std::map<LoopKey, double>& trips)
-      : m_(m), trips_(trips), memo_(m.functions.size()),
-        state_(m.functions.size(), kUnvisited) {
-    for (const ir::Function& fn : m.functions) {
-      for (const BasicBlock& b : fn.blocks) {
-        for (const Inst& inst : b.insts) {
-          if (inst.op == Op::kDefineFn) defs_[inst.a].push_back(inst.b);
-        }
-      }
-    }
+// The dearer of two alternatives, component by component.
+CostBound Dearest(CostBound a, const CostBound& b) {
+  a.bounded = a.bounded && b.bounded;
+  a.steps = std::max(a.steps, b.steps);
+  a.samples = std::max(a.samples, b.samples);
+  a.energy_mj = std::max(a.energy_mj, b.energy_mj);
+  if (b.heavy_loop_steps > a.heavy_loop_steps) {
+    a.heavy_loop_steps = b.heavy_loop_steps;
+    a.heavy_loop_line = b.heavy_loop_line;
   }
+  if (b.heavy_acquisition_mj > a.heavy_acquisition_mj) {
+    a.heavy_acquisition_mj = b.heavy_acquisition_mj;
+    a.heavy_acquisition_line = b.heavy_acquisition_line;
+  }
+  return a;
+}
 
-  StepBound Of(std::uint32_t f) {
+// Prices one run of each function reached from main (see AnalyzeModule)
+// and reports what keeps a cost unbounded: SA401 per loop without a trip
+// bound, SA402 per recursive function, SA405 per acquisition whose sample
+// count has no finite interval.
+class CostWalk {
+ public:
+  CostWalk(const ir::Module& executed, const ir::Module& optimized,
+           const ModuleInfo& info, int default_samples,
+           std::vector<Diagnostic>& out)
+      : exec_(executed), opt_(optimized), info_(info),
+        default_samples_(default_samples), out_(out),
+        memo_(optimized.functions.size()),
+        state_(optimized.functions.size(), kUnvisited) {}
+
+  CostBound Of(std::uint32_t f) {
     if (state_[f] == kDone) return memo_[f];
-    if (state_[f] == kInProgress) return StepBound{kInf, 0, 0};  // recursion
+    if (state_[f] == kInProgress) {
+      const ir::Function& fn = opt_.functions[f];
+      out_.push_back({"SA402", Severity::kError, fn.def_line,
+                      "function '" + fn.name +
+                          "' is recursive; its cost cannot be bounded"});
+      CostBound recursive;
+      recursive.bounded = false;
+      return recursive;
+    }
     state_[f] = kInProgress;
-    memo_[f] = Price(m_.functions[f]);
+    memo_[f] = Price(f);
     state_[f] = kDone;
     return memo_[f];
   }
@@ -1188,21 +1320,33 @@ class StepCounter {
  private:
   enum State : std::uint8_t { kUnvisited, kInProgress, kDone };
 
-  StepBound Price(const ir::Function& fn) {
+  CostBound Price(std::uint32_t f) {
+    const ir::Function& fn = opt_.functions[f];
+    CostBound out;
+    if (fn.blocks.empty()) return out;
+    IvDomain domain{opt_, info_, default_samples_, {}};
+    const DataflowResult<IvDomain> df = Solve(fn, domain, Direction::kForward);
     const std::vector<std::uint8_t> reach = ReachableBlocks(fn);
-    std::vector<double> trips(fn.loops.size(), 0.0);
+
+    // An unbounded loop is priced as one trip: the figures are void then.
+    std::vector<double> trips(fn.loops.size(), 1.0);
     for (std::size_t i = 0; i < fn.loops.size(); ++i) {
       const ir::LoopInfo& loop = fn.loops[i];
-      const int kind = loop.kind == ir::LoopInfo::Kind::kWhile ? 0 : 1;
-      const auto it = trips_.find({loop.line, kind});
-      if (it != trips_.end()) {
-        trips[i] = it->second;
-      } else if (reach[static_cast<std::size_t>(loop.head_block)]) {
-        return StepBound{kInf, loop.line, kInf};
+      if (!reach[static_cast<std::size_t>(loop.head_block)]) continue;
+      if (const std::optional<double> t =
+              TripBound(fn, info_, domain, df, reach, loop)) {
+        trips[i] = *t;
+        continue;
       }
+      out.bounded = false;
+      out_.push_back(
+          {"SA401", Severity::kError, loop.line,
+           loop.kind == ir::LoopInfo::Kind::kWhile
+               ? "cannot derive a static bound for this while loop"
+               : "cannot derive a static bound for this for loop (bounds or "
+                 "step are not statically known)"});
     }
 
-    StepBound out;
     std::vector<double> loop_steps(fn.loops.size(), 0.0);
     for (std::size_t b = 0; b < fn.blocks.size(); ++b) {
       if (!reach[b]) continue;
@@ -1218,29 +1362,25 @@ class StepCounter {
                 fn.loops[static_cast<std::size_t>(outermost)].head_block)
           outermost = static_cast<int>(i);
       }
-      if (mult == 0.0) continue;  // the body of a loop that never iterates
 
-      double cost = static_cast<double>(fn.blocks[b].insts.size());
-      StepBound heaviest_callee;
+      // One run of the block: its executed instructions plus its calls.
+      // Its heavy_loop_* name the heaviest loop among its callees.
+      CostBound block;
+      block.steps =
+          static_cast<double>(exec_.functions[f].blocks[b].insts.size());
+      IvState s = df.in[b];
+      domain.Enter(fn, id, s);
       for (const Inst& inst : fn.blocks[b].insts) {
-        if (inst.op != Op::kCall) continue;
-        const auto defs = defs_.find(inst.imm);
-        if (defs == defs_.end()) continue;  // print / host function
-        StepBound dearest;
-        for (const std::uint32_t callee : defs->second) {
-          const StepBound c = Of(callee);
-          if (c.steps > dearest.steps) dearest = c;
-        }
-        cost += dearest.steps;
-        if (dearest.heavy_loop_steps > heaviest_callee.heavy_loop_steps)
-          heaviest_callee = dearest;
+        if (inst.op == Op::kCall) AddCall(inst, domain, s, block);
+        domain.Apply(inst, s);
       }
-      out.steps += cost * mult;
+      if (mult == 0.0) continue;  // the body of a loop that never iterates
+      AddScaled(out, block, mult);
       if (outermost >= 0) {
-        loop_steps[static_cast<std::size_t>(outermost)] += cost * mult;
-      } else if (heaviest_callee.heavy_loop_steps > out.heavy_loop_steps) {
-        out.heavy_loop_steps = heaviest_callee.heavy_loop_steps;
-        out.heavy_loop_line = heaviest_callee.heavy_loop_line;
+        loop_steps[static_cast<std::size_t>(outermost)] += block.steps * mult;
+      } else if (block.heavy_loop_steps > out.heavy_loop_steps) {
+        out.heavy_loop_steps = block.heavy_loop_steps;
+        out.heavy_loop_line = block.heavy_loop_line;
       }
     }
     for (std::size_t i = 0; i < fn.loops.size(); ++i) {
@@ -1252,10 +1392,48 @@ class StepCounter {
     return out;
   }
 
-  const ir::Module& m_;
-  const std::map<LoopKey, double>& trips_;
-  std::map<std::uint32_t, std::vector<std::uint32_t>> defs_;  // name -> fns
-  std::vector<StepBound> memo_;
+  // One call: the dearest definition its name may bind (which one runs
+  // depends on execution order), or the samples an acquisition takes.
+  void AddCall(const Inst& call, const IvDomain& domain, const IvState& s,
+               CostBound& block) {
+    if (const auto defs = info_.candidates.find(call.imm);
+        defs != info_.candidates.end()) {
+      CostBound dearest;
+      for (const std::uint32_t callee : defs->second)
+        dearest = Dearest(dearest, Of(callee));
+      AddScaled(block, dearest, 1.0);
+      if (dearest.heavy_loop_steps > block.heavy_loop_steps) {
+        block.heavy_loop_steps = dearest.heavy_loop_steps;
+        block.heavy_loop_line = dearest.heavy_loop_line;
+      }
+      return;
+    }
+    const std::string& name = opt_.names[call.imm];
+    const HostSignature* sig = FindHostSignature(name);
+    if (sig == nullptr || !sig->sensor.has_value()) return;
+    const std::optional<double> samples = domain.Samples(call, s);
+    if (!samples) {
+      out_.push_back({"SA405", Severity::kWarning, call.line,
+                      "sample count of '" + name +
+                          "' is not statically derivable; cost estimate "
+                          "assumes " +
+                          std::to_string(default_samples_)});
+    }
+    CostBound acquisition;
+    acquisition.samples = samples.value_or(default_samples_);
+    acquisition.energy_mj =
+        acquisition.samples * sensors::AcquisitionEnergyMj(*sig->sensor);
+    acquisition.heavy_acquisition_mj = acquisition.energy_mj;
+    acquisition.heavy_acquisition_line = call.line;
+    AddScaled(block, acquisition, 1.0);
+  }
+
+  const ir::Module& exec_;
+  const ir::Module& opt_;
+  const ModuleInfo& info_;
+  int default_samples_;
+  std::vector<Diagnostic>& out_;
+  std::vector<CostBound> memo_;
   std::vector<State> state_;
 };
 
@@ -1479,16 +1657,11 @@ void RunTaint(const ir::Module& m, const ModuleInfo& info, TaintCtx& ctx) {
 
 }  // namespace
 
-StepBound BoundSteps(const ir::Module& m,
-                     const std::map<LoopKey, double>& trips) {
-  if (m.functions.empty()) return {};
-  StepCounter counter(m, trips);
-  return counter.Of(0);
-}
-
 // --- analysis driver -------------------------------------------------------
 
-IrAnalysis AnalyzeModule(ir::Module& m, const IrAnalysisOptions&) {
+IrAnalysis AnalyzeModule(const ir::Module& executed,
+                         const IrAnalysisOptions& opts) {
+  ir::Module m = executed;
   OptimizeReport rep;
   OptimizeModule(m, &rep);
 
@@ -1497,6 +1670,10 @@ IrAnalysis AnalyzeModule(ir::Module& m, const IrAnalysisOptions&) {
     out.diagnostics.push_back(
         {"SA501", Severity::kError, u.line,
          "'" + u.name + "' is used before any assignment can reach it"});
+  }
+  for (const OptimizeReport::NamedUse& u : rep.maybe_uses) {
+    out.diagnostics.push_back({"SA102", Severity::kWarning, u.line,
+                               "'" + u.name + "' may be unassigned here"});
   }
   for (const OptimizeReport::NamedUse& u : rep.dead_stores) {
     out.diagnostics.push_back(
@@ -1518,7 +1695,11 @@ IrAnalysis AnalyzeModule(ir::Module& m, const IrAnalysisOptions&) {
   }
 
   const ModuleInfo info = ComputeModuleInfo(m);
-  CollectTripBounds(m, info, out.trip_bounds);
+  if (!m.functions.empty()) {
+    CostWalk cost(executed, m, info, opts.default_samples_per_window,
+                  out.diagnostics);
+    out.cost = cost.Of(0);
+  }
 
   TaintCtx taint;
   RunTaint(m, info, taint);

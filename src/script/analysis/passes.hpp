@@ -1,28 +1,28 @@
 // IR analysis and optimization passes.
 //
-// Built on the worklist engine in dataflow.hpp, these passes give the
-// analyzer flow-sensitive facts the PR 3 syntactic walk cannot see:
+// Built on the worklist engine in dataflow.hpp, these passes derive every
+// flow-sensitive fact the analyzer reports:
 //
 //   constant propagation / folding    SA503 (constant conditions), branch
 //                                     folding, and the groundwork for DCE
 //   definite assignment               SA501 (no assignment reaches a use),
-//                                     CheckDef elision for execution
+//                                     SA102 (some path leaves it
+//                                     unassigned), CheckDef elision
 //   liveness + DCE                    SA502 (dead stores)
 //   reachability diff                 SA504 (code killed by constant
 //                                     branches)
-//   interval analysis                 per-loop trip bounds that tighten
-//                                     the syntactic cost/energy estimates
+//   intervals + list lengths          per-loop trip bounds and acquisition
+//                                     sample counts: the worst-case cost
+//                                     (SA401, SA402, SA405)
 //   sensor taint                      the information-flow manifest and
 //                                     SA505 (sensor-free output)
 //
-// OptimizeModule is semantics-preserving; AnalyzeModule runs it and derives
-// diagnostics, trip bounds, and the flow manifest from the optimized
-// module. BoundSteps prices the unoptimized module phones execute.
+// OptimizeModule is semantics-preserving; AnalyzeModule runs it on a copy,
+// derives diagnostics and the flow manifest from the optimized module, and
+// prices the worst-case cost on the module phones execute.
 #pragma once
 
-#include <map>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "script/analysis/diagnostics.hpp"
@@ -46,6 +46,7 @@ struct OptimizeReport {
     std::string name;
   };
   std::vector<NamedUse> undef_uses;   // reachable uses no assignment reaches
+  std::vector<NamedUse> maybe_uses;   // ... that some path reaches unassigned
   std::vector<NamedUse> dead_stores;  // pure user stores never read
   std::vector<int> unreachable_lines; // lines made unreachable by folding
 };
@@ -53,46 +54,46 @@ struct OptimizeReport {
 // Semantics-preserving optimization pipeline: constant propagation and
 // folding, constant-branch folding, definite-assignment CheckDef elision,
 // and dead-code elimination. Observable behaviour (values, output, error
-// text) is untouched. With `report`, records the facts behind SA501-SA504.
+// text) is untouched. With `report`, records the facts behind SA102 and SA501-SA504.
 void OptimizeModule(ir::Module& m, OptimizeReport* report = nullptr);
 
 struct IrAnalysisOptions {
-  // Samples assumed when an acquisition call's sample-count argument is not
-  // a compile-time constant; mirrors AnalyzerOptions.
+  // Samples an acquisition call takes when it passes no sample count, or
+  // one that is not statically bounded; mirrors AnalyzerOptions.
   int default_samples_per_window = 5;
 };
 
-// Loop identity as the cost pass sees it: (source line, kind) with kind
-// 0 = while, 1 = numeric for.
-using LoopKey = std::pair<int, int>;
+// Worst-case cost of one run of a module, callees included.
+struct CostBound {
+  bool bounded = true;  // false: a reachable loop has no trip bound (SA401)
+                        // or calls recurse (SA402); the figures are void
+  double steps = 0;     // IR instructions retired — the unit of
+                        // InterpreterOptions::max_steps (SA404)
+  double samples = 0;   // physical acquisition samples
+  double energy_mj = 0;  // via sensors::AcquisitionEnergyMj (SA403)
+  int heavy_loop_line = 0;  // outermost loop costing the most steps (0: none)
+  double heavy_loop_steps = 0;
+  int heavy_acquisition_line = 0;  // acquisition costing the most energy
+  double heavy_acquisition_mj = 0;
+};
 
 struct IrAnalysis {
-  std::vector<Diagnostic> diagnostics;  // SA501..SA505
-  // Interval-derived upper bound on body executions per loop. Absent key =
-  // the pass could not bound the loop (the syntactic estimate stands).
-  std::map<LoopKey, double> trip_bounds;
+  // SA102, SA401, SA402, SA405 and SA501..SA505; SA403/SA404 compare
+  // `cost` against the analyzer's budgets.
+  std::vector<Diagnostic> diagnostics;
+  CostBound cost;
   FlowManifest flow;
 };
 
-// Optimizes `m` in place, then derives diagnostics, trip bounds, and the
-// information-flow manifest from the optimized module.
-[[nodiscard]] IrAnalysis AnalyzeModule(ir::Module& m,
+// Optimizes a copy of `m`, derives diagnostics and the information-flow
+// manifest from it, and bounds the cost of running `m` itself — the
+// unoptimized module a phone executes. Each block the optimized module
+// still reaches is priced at its instruction count in `m` (optimizing keeps
+// block ids and calls) times the trip bounds of its enclosing loops, whose
+// condition blocks run once more than their body; each call adds the
+// dearest definition its name may bind, and each acquisition its samples
+// (the first argument's upper bound, floored) × AcquisitionEnergyMj.
+[[nodiscard]] IrAnalysis AnalyzeModule(const ir::Module& m,
                                        const IrAnalysisOptions& opts = {});
-
-// Worst-case IR instructions one run of a module retires — the unit of
-// InterpreterOptions::max_steps, so SA404 checks what the executor counts.
-struct StepBound {
-  double steps = 0;         // +inf: a reachable loop lacks a bound, or
-                            // calls recurse (SA401/SA402 already fired)
-  int heavy_loop_line = 0;  // outermost loop costing the most (0: none)
-  double heavy_loop_steps = 0;  // that loop's share of `steps`
-};
-
-// Prices each reachable block at its instruction count times the trip
-// bounds of its enclosing loops (a loop's condition blocks run once more
-// than its body), plus the dearest definition of every script function a
-// kCall may bind. `trips` bounds body executions per (line, kind) loop.
-[[nodiscard]] StepBound BoundSteps(const ir::Module& m,
-                                   const std::map<LoopKey, double>& trips);
 
 }  // namespace sor::script::analysis

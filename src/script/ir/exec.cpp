@@ -165,6 +165,9 @@ class Executor {
                                       " out of range (size " +
                                       std::to_string(list.size()) + ")");
             }
+            if (regs[inst.c].Reaches(&list))
+              return RuntimeError(inst.line,
+                                  "cannot store a list inside itself");
             if (i == static_cast<long long>(list.size()) + 1) {
               list.push_back(regs[inst.c]);  // Lua-style append
             } else {

@@ -1,6 +1,7 @@
 #include "script/value.hpp"
 
 #include <cmath>
+#include <set>
 #include <sstream>
 
 namespace sor::script {
@@ -20,6 +21,24 @@ bool Value::Equals(const Value& o) const {
         if (!(*list_)[i].Equals((*o.list_)[i])) return false;
       }
       return true;
+    }
+  }
+  return false;
+}
+
+bool Value::Reaches(const List* list) const {
+  if (!is_list()) return false;
+  // Depth-first over nested lists, each visited once: lists may share
+  // sublists, so an unmarked walk could be exponential.
+  std::set<const List*> seen;
+  std::vector<const List*> work{list_.get()};
+  while (!work.empty()) {
+    const List* l = work.back();
+    work.pop_back();
+    if (l == list) return true;
+    if (l == nullptr || !seen.insert(l).second) continue;
+    for (const Value& v : *l) {
+      if (v.is_list()) work.push_back(v.list_.get());
     }
   }
   return false;

@@ -3,6 +3,9 @@
 // nil / boolean / number / string / list. Lists have shared (reference)
 // semantics like Lua tables: assigning a list to another variable aliases
 // it, which the acquisition scripts rely on when accumulating readings.
+// Lists never contain themselves: push and indexed assignment refuse to
+// insert a list that can reach the target (see Reaches), so equality,
+// display and shared_ptr ownership never meet a cycle.
 #pragma once
 
 #include <memory>
@@ -49,6 +52,10 @@ class Value {
   // Structural equality (lists compare by contents, unlike Lua, which is
   // more useful for assertions in task scripts).
   [[nodiscard]] bool Equals(const Value& o) const;
+
+  // True when this value is `list` or holds it at any depth — i.e. when
+  // inserting this value into `list` would make a cycle.
+  [[nodiscard]] bool Reaches(const List* list) const;
 
   [[nodiscard]] std::string ToDisplayString() const;
   [[nodiscard]] const char* TypeName() const;

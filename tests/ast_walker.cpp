@@ -114,6 +114,8 @@ class AstWalker {
                                 "list index " + std::to_string(idx) +
                                     " out of range (size " +
                                     std::to_string(list.size()) + ")");
+          if (v.value().Reaches(&list))
+            return RuntimeError(st.line, "cannot store a list inside itself");
           if (idx == static_cast<long long>(list.size()) + 1) {
             list.push_back(std::move(v).value());  // Lua-style append
           } else {

@@ -4,6 +4,8 @@
 // lexer→parser→analyzer without crashing (runs under asan-ubsan in CI).
 #include <gtest/gtest.h>
 
+#include <fstream>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -55,6 +57,19 @@ TEST(Analyzer, SA101NearMissAssignedNamePasses) {
   EXPECT_TRUE(r.ok());
 }
 
+TEST(Analyzer, SA101BlockLocalUsedAfterItsBlockRejected) {
+  // After the `if`, `x` names a global nothing stores: the use always
+  // fails, however the branch went.
+  const AnalysisReport r = Analyzed(
+      "if get_time_s() > 0 then\n"
+      "  local x = 1\n"
+      "  print(x)\n"
+      "end\n"
+      "print(x)\n");
+  EXPECT_TRUE(r.Has("SA101"));
+  EXPECT_FALSE(r.ok());
+}
+
 // --- SA102: use of possibly-unassigned variable ------------------------------
 
 TEST(Analyzer, SA102OneBranchAssignmentWarns) {
@@ -78,6 +93,23 @@ TEST(Analyzer, SA102NearMissBothBranchesAssignPasses) {
       "end\n"
       "print(b)\n");
   EXPECT_FALSE(r.Has("SA102"));
+}
+
+TEST(Analyzer, SA102LoopCarriedAssignmentWarns) {
+  // The first test of the condition sees `n` unassigned; later ones see
+  // the body's store.
+  const AnalysisReport r = Analyzed(
+      "local i = 0\n"
+      "while i < 2 do\n"
+      "  if i > 0 then\n"
+      "    print(n)\n"
+      "  end\n"
+      "  n = i\n"
+      "  i = i + 1\n"
+      "end\n");
+  EXPECT_TRUE(r.Has("SA102"));
+  EXPECT_FALSE(r.Has("SA501"));
+  EXPECT_TRUE(r.ok());
 }
 
 // --- SA103: shadowing --------------------------------------------------------
@@ -288,6 +320,137 @@ TEST(Analyzer, SA401WhileTrueWithoutBreakRejected) {
   EXPECT_FALSE(r.manifest.cost_bounded);
 }
 
+TEST(Analyzer, SA401WhileThatMayLoopBackRejected) {
+  const AnalysisReport r = Analyzed(
+      "local n = get_time_s()\n"
+      "while n > 0 do\n"
+      "  if n > 5 then\n"
+      "    break\n"
+      "  end\n"
+      "  print(n)\n"
+      "end\n");
+  EXPECT_TRUE(r.Has("SA401"));
+  EXPECT_FALSE(r.manifest.cost_bounded);
+}
+
+TEST(Analyzer, SA401NearMissWhileThatAlwaysBreaksRunsOnce) {
+  // No path leads from the body back to the head: at most one trip.
+  const AnalysisReport r = Analyzed(
+      "local n = get_time_s()\n"
+      "while n > 0 do\n"
+      "  local xs = get_noise_readings(4)\n"
+      "  print(len(xs))\n"
+      "  break\n"
+      "end\n");
+  EXPECT_FALSE(r.Has("SA401"));
+  EXPECT_TRUE(r.ok());
+  EXPECT_DOUBLE_EQ(r.manifest.worst_case_acquisitions, 4.0);
+}
+
+TEST(Analyzer, SA401ForOverUnknownListLengthRejected) {
+  // What a script function returns has no known length.
+  const AnalysisReport r = Analyzed(
+      "function readings()\n"
+      "  return get_noise_readings(4)\n"
+      "end\n"
+      "local xs = readings()\n"
+      "for i = 1, len(xs) do\n"
+      "  print(xs[i])\n"
+      "end\n");
+  EXPECT_TRUE(r.Has("SA401"));
+  EXPECT_FALSE(r.manifest.cost_bounded);
+}
+
+TEST(Analyzer, SA401NearMissForOverAcquisitionLength) {
+  // An acquisition returns at most the samples it asks for.
+  const AnalysisReport r = Analyzed(
+      "local xs = get_noise_readings(4)\n"
+      "for i = 1, len(xs) do\n"
+      "  print(xs[i])\n"
+      "end\n");
+  EXPECT_FALSE(r.Has("SA401"));
+  EXPECT_TRUE(r.ok());
+}
+
+TEST(Analyzer, SA401ForOverListAScriptCallMayGrowRejected) {
+  const AnalysisReport r = Analyzed(
+      "function grow(list)\n"
+      "  push(list, 0)\n"
+      "end\n"
+      "local xs = {3, 1, 2}\n"
+      "grow(xs)\n"
+      "for i = 1, #xs do\n"
+      "  print(xs[i])\n"
+      "end\n");
+  EXPECT_TRUE(r.Has("SA401"));
+}
+
+TEST(Analyzer, SA401NearMissForOverListLiteral) {
+  const AnalysisReport r = Analyzed(
+      "local xs = {3, 1, 2}\n"
+      "local best = 0\n"
+      "for i = 1, #xs do\n"
+      "  best = max(best, xs[i])\n"
+      "end\n"
+      "print(best)\n");
+  EXPECT_FALSE(r.Has("SA401"));
+  EXPECT_TRUE(r.ok());
+}
+
+TEST(Analyzer, SA401ForOverListGrownInALoopRejected) {
+  // Lengths do not follow trip counts: growing a list in a loop leaves its
+  // length unbounded, so a loop over it is refused rather than under-
+  // estimated at the length it had before the first append.
+  const AnalysisReport r = Analyzed(
+      "local xs = {}\n"
+      "for j = 1, 3 do\n"
+      "  push(xs, j)\n"
+      "end\n"
+      "for i = 1, len(xs) do\n"
+      "  print(xs[i])\n"
+      "end\n");
+  EXPECT_TRUE(r.Has("SA401"));
+}
+
+TEST(Analyzer, SA401NearMissForOverPushGrownList) {
+  // Each push adds one to the bound — of every list, since `alias` and
+  // `xs` are the same list.
+  const std::string source =
+      "local xs = {}\n"
+      "local alias = xs\n"
+      "push(alias, 1)\n"
+      "xs[2] = 2\n"
+      "for i = 1, len(xs) do\n"
+      "  print(xs[i])\n"
+      "end\n";
+  const AnalysisReport r = Analyzed(source);
+  EXPECT_FALSE(r.Has("SA401"));
+  EXPECT_TRUE(r.ok());
+  const Result<Program> program = Parse(source);
+  ASSERT_TRUE(program.ok());
+  HostRegistry host;
+  InstallStdlib(host);
+  const Result<ExecutionResult> run =
+      ir::Execute(ir::Lower(program.value()), host, InterpreterOptions{});
+  ASSERT_TRUE(run.ok()) << run.error().str();
+  EXPECT_EQ(run.value().output, "1\n2\n");
+  EXPECT_LE(static_cast<double>(run.value().steps),
+            r.manifest.worst_case_steps);
+}
+
+TEST(Analyzer, SA401NearMissTriangularLoopBounded) {
+  // Inside a numeric-for body the counter is within the stop bound, so an
+  // inner loop up to it is bounded too.
+  const AnalysisReport r = Analyzed(
+      "for i = 1, 3 do\n"
+      "  for j = 1, i do\n"
+      "    print(j)\n"
+      "  end\n"
+      "end\n");
+  EXPECT_FALSE(r.Has("SA401"));
+  EXPECT_TRUE(r.ok());
+}
+
 TEST(Analyzer, SA401NearMissInductionBoundPasses) {
   const AnalysisReport r = Analyzed(
       "local i = 0\n"
@@ -312,6 +475,11 @@ TEST(Analyzer, SA402RecursionRejected) {
   EXPECT_TRUE(r.Has("SA402"));
   EXPECT_FALSE(r.ok());
   EXPECT_FALSE(r.manifest.cost_bounded);
+  for (const Diagnostic& d : r.diagnostics) {
+    if (d.code == "SA402") {
+      EXPECT_EQ(d.line, 1);  // the definition
+    }
+  }
 }
 
 TEST(Analyzer, SA402NearMissNonRecursiveChainPasses) {
@@ -430,8 +598,8 @@ TEST(Analyzer, SA405NearMissLiteralCountPasses) {
 
 TEST(Analyzer, SA501NoPathAssignsBeforeUseRejected) {
   // 'y' is assigned somewhere (so SA101 stays quiet), but no assignment
-  // can reach the use — the flow-sensitive pass upgrades the syntactic
-  // may-be-unassigned warning to an error.
+  // can reach the use: an error, where some path reaching it would be
+  // SA102's warning.
   const AnalysisReport r = Analyzed(
       "print(y)\n"
       "y = 1\n");
@@ -608,27 +776,60 @@ TEST(FlowManifest, EncodeDecodeRoundTrip) {
 
 // --- manifest & cost ---------------------------------------------------------
 
+// Samples, energy and IR steps per run of a script the repo ships.
+struct ShippedManifest {
+  const char* name;
+  double samples;
+  double energy_mj;
+  double steps;
+};
+
+void ExpectManifest(const AnalysisReport& r, const ShippedManifest& want) {
+  EXPECT_TRUE(r.diagnostics.empty())
+      << want.name << "\n"
+      << Render(std::span<const Diagnostic>(r.diagnostics));
+  EXPECT_TRUE(r.manifest.cost_bounded) << want.name;
+  EXPECT_DOUBLE_EQ(r.manifest.worst_case_acquisitions, want.samples)
+      << want.name;
+  EXPECT_NEAR(r.manifest.worst_case_energy_mj, want.energy_mj, 1e-9)
+      << want.name;
+  EXPECT_DOUBLE_EQ(r.manifest.worst_case_steps, want.steps) << want.name;
+}
+
 TEST(Analyzer, DefaultTrailScriptCleanWithExpectedManifest) {
   const AnalysisReport r = Analyzed(
       core::DefaultScript(world::PlaceCategory::kHikingTrail));
-  EXPECT_TRUE(r.diagnostics.empty())
-      << Render(std::span<const Diagnostic>(r.diagnostics));
   const std::vector<SensorKind> want = {
       SensorKind::kAccelerometer, SensorKind::kGps, SensorKind::kBarometer,
       SensorKind::kDroneTemperature, SensorKind::kDroneHumidity};
   EXPECT_EQ(r.manifest.required_sensors, want);
   // 5×8 (temp) + 5×8 (humidity) + 12×0.5 (accel) + 6×0.4 (baro) + 15×150
   // (GPS) = 2338.4 mJ.
-  EXPECT_NEAR(r.manifest.worst_case_energy_mj, 2338.4, 1e-9);
-  EXPECT_TRUE(r.manifest.cost_bounded);
+  ExpectManifest(r, {"builtin trails", 43, 2338.4, 34});
 }
 
 TEST(Analyzer, DefaultCoffeeScriptClean) {
   const AnalysisReport r = Analyzed(
       core::DefaultScript(world::PlaceCategory::kCoffeeShop));
-  EXPECT_TRUE(r.diagnostics.empty())
-      << Render(std::span<const Diagnostic>(r.diagnostics));
-  EXPECT_NEAR(r.manifest.worst_case_energy_mj, 420.0, 1e-9);
+  ExpectManifest(r, {"builtin coffee", 23, 420, 30});
+}
+
+TEST(Analyzer, ExampleScriptManifestsPinned) {
+  // air_quality's loop runs len(co) <= 6 times; noise_survey's while loop
+  // exactly 3.
+  const ShippedManifest table[] = {
+      {"air_quality.sor", 16, 128, 151},
+      {"coffee_shop.sor", 23, 420, 30},
+      {"hiking_trail.sor", 43, 2338.4, 34},
+      {"noise_survey.sor", 12, 60, 136},
+  };
+  for (const ShippedManifest& row : table) {
+    std::ifstream in(std::string(SOR_EXAMPLE_SCRIPTS_DIR) + "/" + row.name);
+    ASSERT_TRUE(in) << row.name;
+    std::ostringstream source;
+    source << in.rdbuf();
+    ExpectManifest(Analyzed(source.str()), row);
+  }
 }
 
 TEST(Analyzer, ManifestCountsLoopScaledAcquisitions) {
@@ -640,8 +841,7 @@ TEST(Analyzer, ManifestCountsLoopScaledAcquisitions) {
       "  i = i + 1\n"
       "end\n");
   EXPECT_TRUE(r.ok());
-  // The IR interval pass proves the exact 3 iterations (the syntactic
-  // induction bound alone would over-approximate to 5).
+  // The interval pass proves exactly 3 iterations.
   EXPECT_DOUBLE_EQ(r.manifest.worst_case_acquisitions, 12.0);
   EXPECT_DOUBLE_EQ(r.manifest.worst_case_energy_mj, 60.0);
 }

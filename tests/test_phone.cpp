@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <map>
 
 #include "codec/barcode.hpp"
 #include "phone/frontend.hpp"
@@ -71,6 +72,37 @@ TEST(TaskInstance, ParsesScriptAndRuns) {
   EXPECT_EQ(task.status(), TaskStatus::kFinished);
   EXPECT_EQ(task.stats().executions, 2u);
   EXPECT_EQ(task.stats().acquisitions, 2u);
+}
+
+TEST(TaskInstance, MovedTaskStillAcquiresAndRecords) {
+  // The frontend moves each new task into its map; the host functions
+  // must act on the task where it lives when it runs.
+  FakeEnvironment env;
+  sensors::BluetoothLink link;
+  link.Pair();
+  sensors::SensorManager sensors = MakeSensors(env, link);
+  LocalPreferenceManager prefs;
+  std::map<TaskId, TaskInstance> tasks;
+  tasks.insert_or_assign(
+      TaskId{1},
+      TaskInstance(TaskId{1}, AppId{1},
+                   "local xs = get_light_readings(2)\n"
+                   "print(get_remaining_instants())\n",
+                   {SimTime{1'000}, SimTime{2'000}}, SimDuration{100}, 2));
+  TaskInstance& task = tasks.at(TaskId{1});
+  ASSERT_EQ(task.status(), TaskStatus::kRunning) << task.last_error();
+  const auto first = task.RunDue(SimTime{1'000}, sensors, prefs);
+  ASSERT_EQ(first.size(), 1u);
+  EXPECT_EQ(first[0].values.size(), 2u);
+  EXPECT_EQ(first[0].t.ms, 1'000);
+
+  TaskInstance moved = std::move(task);
+  const auto second = moved.RunDue(SimTime{2'000}, sensors, prefs);
+  ASSERT_EQ(second.size(), 1u);
+  EXPECT_EQ(second[0].t.ms, 2'000);
+  EXPECT_EQ(moved.stats().acquisitions, 2u);
+  EXPECT_EQ(moved.stats().executions, 2u);
+  EXPECT_EQ(moved.status(), TaskStatus::kFinished);
 }
 
 TEST(TaskInstance, CatchesUpOnMultipleDueInstants) {
