@@ -214,16 +214,20 @@ Result<TaskId> ParticipationManager::HandleRequest(
   // index silently swallow every new upload. Finish the old participation
   // and fall through to open a fresh task. A LOWER incarnation is a stale
   // install (e.g. a delayed duplicate) and is refused.
-  for (const ParticipationRecord& rec : ActiveForApp(app.id)) {
-    if (rec.user != req.user) continue;
-    if (req.incarnation == rec.incarnation) return rec.task;
-    if (req.incarnation < rec.incarnation)
+  std::optional<ParticipationRecord> open;
+  ForEachActiveForApp(app.id, [&](const ParticipationRecord& rec) {
+    if (rec.user != req.user) return true;
+    open = rec;
+    return false;
+  });
+  if (open.has_value()) {
+    if (req.incarnation == open->incarnation) return open->task;
+    if (req.incarnation < open->incarnation)
       return Error{Errc::kPermissionDenied,
                    "stale incarnation " + std::to_string(req.incarnation) +
-                       " for task " + rec.task.str()};
-    if (Status s = MarkFinished(rec.task, req.scan_time); !s.ok())
+                       " for task " + open->task.str()};
+    if (Status s = MarkFinished(open->task, req.scan_time); !s.ok())
       return s.error();
-    break;
   }
 
   Table* parts = db_.table(db::tables::kParticipations);
@@ -287,11 +291,22 @@ Result<ParticipationRecord> ParticipationManager::Get(TaskId task) const {
 std::vector<ParticipationRecord> ParticipationManager::ActiveForApp(
     AppId app) const {
   std::vector<ParticipationRecord> out;
-  for (const ParticipationRecord& rec : AllForApp(app)) {
-    if (rec.status == "waiting_for_schedule" || rec.status == "running")
-      out.push_back(rec);
-  }
+  ForEachActiveForApp(app, [&out](const ParticipationRecord& rec) {
+    out.push_back(rec);
+    return true;
+  });
   return out;
+}
+
+void ParticipationManager::ForEachActiveForApp(
+    AppId app,
+    const std::function<bool(const ParticipationRecord&)>& visit) const {
+  const Table* parts = db_.table(db::tables::kParticipations);
+  parts->ForEachWhereEq("app_id", Value(app.value()), [&](const Row& row) {
+    const std::string& status = row[6].as_text();
+    if (status != "waiting_for_schedule" && status != "running") return true;
+    return visit(RecordFromRow(row));
+  });
 }
 
 std::vector<ParticipationRecord> ParticipationManager::AllForApp(

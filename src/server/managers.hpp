@@ -5,6 +5,7 @@
 // the sensing server.
 #pragma once
 
+#include <functional>
 #include <optional>
 #include <string>
 #include <vector>
@@ -149,6 +150,13 @@ class ParticipationManager {
   [[nodiscard]] Result<ParticipationRecord> Get(TaskId task) const;
   // Active (not finished/error) participations of one application.
   [[nodiscard]] std::vector<ParticipationRecord> ActiveForApp(AppId app) const;
+  // The same records in the same order, visited in place: no copy of the
+  // app's rows or records is kept, so a join or leave does not allocate
+  // O(fleet). `visit` returns false to stop. The participations table is
+  // read-locked during the walk, so `visit` must not write it.
+  void ForEachActiveForApp(
+      AppId app,
+      const std::function<bool(const ParticipationRecord&)>& visit) const;
   [[nodiscard]] std::vector<ParticipationRecord> AllForApp(AppId app) const;
 
   // Campaign-completion probes across ALL applications, used by hosts that

@@ -90,38 +90,45 @@ Result<SchedulePlan> SensingScheduler::PlanApp(
   SchedulePlan plan;
   plan.grid = planner.grid();
 
-  const std::vector<ParticipationRecord> active =
-      participations.ActiveForApp(app.id);
-  plan.active_count = active.size();
   const SimTime now = clock_.now();
 
   // Diff the active set against the planner's members: unknown active tasks
-  // are joins, known members that are no longer active are leaves.
-  std::set<std::uint64_t> active_tasks;
-  std::map<std::uint64_t, const ParticipationRecord*> record_of;
+  // are joins, known members that are no longer active are leaves. Only the
+  // records a dispatch needs (joins and unsent tasks) are copied.
+  std::vector<std::uint64_t> active_tasks;
+  std::map<std::uint64_t, ParticipationRecord> record_of;
   std::vector<sched::IncrementalPlanner::Join> joins;
-  for (const ParticipationRecord& rec : active) {
-    active_tasks.insert(rec.task.value());
-    record_of.emplace(rec.task.value(), &rec);
-    if (planner.HasMember(static_cast<std::int64_t>(rec.task.value())))
-      continue;
-    sched::IncrementalPlanner::Join j;
-    j.member = static_cast<std::int64_t>(rec.task.value());
-    SimTime begin = rec.arrive;
-    if (online_aware_ && now > begin) begin = now;  // the past is gone
-    j.window = SimInterval{begin, rec.leave.value_or(app.spec.period.end)}
-                   .intersect(app.spec.period);
-    j.budget = rec.budget_left;
-    joins.push_back(j);
-  }
-  // ActiveForApp visits in insertion (≈ task-id) order; sort to make the
-  // single greedy run's matroid ordering independent of index internals.
+  participations.ForEachActiveForApp(
+      app.id, [&](const ParticipationRecord& rec) {
+        const std::uint64_t task = rec.task.value();
+        active_tasks.push_back(task);
+        const bool member = planner.HasMember(static_cast<std::int64_t>(task));
+        if (member && !st.unsent.contains(task)) return true;
+        record_of.emplace(task, rec);
+        if (member) return true;
+        sched::IncrementalPlanner::Join j;
+        j.member = static_cast<std::int64_t>(task);
+        SimTime begin = rec.arrive;
+        if (online_aware_ && now > begin) begin = now;  // the past is gone
+        j.window = SimInterval{begin, rec.leave.value_or(app.spec.period.end)}
+                       .intersect(app.spec.period);
+        j.budget = rec.budget_left;
+        joins.push_back(j);
+        return true;
+      });
+  plan.active_count = active_tasks.size();
+  std::sort(active_tasks.begin(), active_tasks.end());
+  const auto is_active = [&active_tasks](std::uint64_t task) {
+    return std::binary_search(active_tasks.begin(), active_tasks.end(), task);
+  };
+  // Active records are visited in insertion (≈ task-id) order; sort to make
+  // the single greedy run's matroid ordering independent of index internals.
   std::sort(joins.begin(), joins.end(),
             [](const auto& a, const auto& b) { return a.member < b.member; });
 
   std::vector<sched::IncrementalPlanner::Leave> leaves;
   for (std::int64_t member : planner.Members()) {
-    if (active_tasks.contains(static_cast<std::uint64_t>(member))) continue;
+    if (is_active(static_cast<std::uint64_t>(member))) continue;
     sched::IncrementalPlanner::Leave l;
     l.member = member;
     l.cutoff = now;
@@ -133,9 +140,7 @@ Result<SchedulePlan> SensingScheduler::PlanApp(
   }
 
   // Tasks that stopped being active never get their pending re-send.
-  std::erase_if(st.unsent, [&](std::uint64_t t) {
-    return !active_tasks.contains(t);
-  });
+  std::erase_if(st.unsent, [&](std::uint64_t t) { return !is_active(t); });
 
   if (leaves.empty() && joins.empty() && st.unsent.empty()) {
     plan.empty = true;
@@ -159,7 +164,7 @@ Result<SchedulePlan> SensingScheduler::PlanApp(
     st.unsent.insert(static_cast<std::uint64_t>(j.member));
   for (std::uint64_t task : st.unsent) {
     SchedulePlan::Dispatch d;
-    d.rec = *record_of.at(task);
+    d.rec = record_of.at(task);
     d.picks = planner.PicksOf(static_cast<std::int64_t>(task));
     plan.dispatches.push_back(std::move(d));
   }

@@ -292,6 +292,41 @@ TEST(Participation, StatusTransitionsAndBudget) {
   EXPECT_TRUE(f.server.participations().ActiveForApp(f.app).empty());
 }
 
+TEST(Participation, ActiveVisitorMatchesActiveForApp) {
+  ParticipationFixture f;
+  const auto rec = f.server.applications().Get(f.app).value();
+  ParticipationManager& parts = f.server.participations();
+  std::vector<TaskId> tasks;
+  for (const char* name : {"bob", "carol", "dave"}) {
+    const Token token{std::string("tok-") + name};
+    ParticipationRequest req = f.Request(GeoPoint{43.0, -76.0, 100});
+    req.user = f.server.users().RegisterUser(name, token).value();
+    req.token = token;
+    tasks.push_back(parts.HandleRequest(req, rec, f.server.users()).value());
+  }
+  ASSERT_TRUE(parts.MarkRunning(tasks[2]).ok());
+  ASSERT_TRUE(parts.MarkFinished(tasks[1], SimTime{50}).ok());
+
+  std::vector<TaskId> visited;
+  parts.ForEachActiveForApp(f.app, [&](const ParticipationRecord& r) {
+    visited.push_back(r.task);
+    return true;
+  });
+  std::vector<TaskId> copied;
+  for (const ParticipationRecord& r : parts.ActiveForApp(f.app))
+    copied.push_back(r.task);
+  EXPECT_EQ(visited, (std::vector<TaskId>{tasks[0], tasks[2]}));
+  EXPECT_EQ(visited, copied);
+
+  // Returning false stops the walk.
+  int calls = 0;
+  parts.ForEachActiveForApp(f.app, [&](const ParticipationRecord&) {
+    ++calls;
+    return false;
+  });
+  EXPECT_EQ(calls, 1);
+}
+
 // --- end-to-end server message handling ----------------------------------------
 
 // A minimal phone endpoint that records schedule distributions.
